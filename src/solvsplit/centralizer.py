@@ -2,8 +2,9 @@
 
 For L = [[m, -1], [1, 0]] with |m| >= 3 the SL(2,Z) centralizer is exactly
 the signed powers {+-L^n}; a determinant -1 coset appears only at m = +-3.
-A matrix is reversible (conjugate to its own inverse) exactly in the trace
-+-3 classes.
+Among standard forms, L is reversible (conjugate to its own inverse) exactly
+at m = +-3.  Other classes can be reversible too: [[5, 2], [2, 1]] has trace
+6, no unit curve, and is conjugate to its inverse.
 """
 
 from __future__ import annotations

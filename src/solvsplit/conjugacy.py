@@ -8,9 +8,10 @@ conjugate to a product of positive powers of
 unique up to rotating the word by whole R-block/S-block pairs.  We reach such
 a product by conjugating with powers of R and S that continued-fraction
 reduce the attracting fixed point (a quadratic surd, handled with integer
-arithmetic only), then peel the resulting nonnegative matrix letter by
-letter.  The pair (trace sign, canonical word) is a complete conjugacy
-invariant, and the accumulated conjugations give explicit witnesses.
+arithmetic only), then peel the resulting positive matrix one whole block
+R^k or S^k per integer quotient, in steps linear in the input's bit length.
+The pair (trace sign, canonical word) is a complete conjugacy invariant, and
+the accumulated conjugations give explicit witnesses.
 
 The second decides which units the monodromy form represents, by walking the
 cycle of reduced indefinite forms while accumulating the change-of-variable
@@ -68,9 +69,7 @@ class CyclicWord:
         """Multiply the word out exactly."""
         M = IDENTITY
         for i, e in enumerate(self.exponents):
-            gen = R if i % 2 == 0 else S
-            for _ in range(e):
-                M = M @ gen
+            M = M @ _mat_gen_pow(R if i % 2 == 0 else S, e)
         return M
 
     def __str__(self) -> str:
@@ -112,45 +111,46 @@ def _require_anosov(M: IntMatrix2, name: str = "matrix") -> None:
 
 # -- quadratic surd steps, pure integer arithmetic ----------------------------
 #
-# A surd is (p + sqrt(d)) / q with q != 0 and q | d - p^2, d positive and not
-# a square.  This is exactly the shape of the fixed points of a hyperbolic
-# matrix, and the invariant is preserved by the two moves used below.
+# A surd x = (p + sqrt(d)) / q is carried as the triple (p, q, r) with
+# q * r = d - p^2, d positive and not a square, q and r nonzero.  This is
+# exactly the shape of the fixed points of a hyperbolic matrix, and both moves
+# used below keep the invariant without a division:
+#     x - k   is  (p - k*q, q, r + k*(2*p - k*q))
+#     1 / x   is  (-p, r, q)
 
 
-def _sign_p_plus_sqrt(p: int, d: int) -> int:
-    # sign of p + sqrt(d), never zero since d is not a square
-    if p >= 0:
-        return 1
-    return 1 if d > p * p else -1
+def _sign_p_plus_sqrt(p: int, sd: int) -> int:
+    # sign of p + sqrt(d) for sd = isqrt(d); never zero since d is not a square
+    return 1 if p + sd >= 0 else -1
 
 
-def _surd_floor(p: int, q: int, d: int, sd: int) -> int:
+def _surd_floor(p: int, q: int, sd: int) -> int:
     # floor((p + sqrt(d)) / q); sd = isqrt(d)
     if q > 0:
         return (p + sd) // q
     return (-p - sd - 1) // (-q)
 
 
-def _surd_gt_one(p: int, q: int, d: int) -> bool:
+def _surd_gt_one(p: int, q: int, sd: int) -> bool:
     # (p + sqrt(d)) / q > 1  <=>  sign(p - q + sqrt(d)) agrees with sign(q)
-    return _sign_p_plus_sqrt(p - q, d) == (1 if q > 0 else -1)
+    return _sign_p_plus_sqrt(p - q, sd) == (1 if q > 0 else -1)
 
 
-def _surd_is_reduced(p: int, q: int, d: int) -> bool:
+def _surd_is_reduced(p: int, q: int, sd: int) -> bool:
     # x > 1 and the conjugate (p - sqrt(d)) / q lies in (-1, 0)
-    if not _surd_gt_one(p, q, d):
+    if not _surd_gt_one(p, q, sd):
         return False
     sign_q = 1 if q > 0 else -1
     # conjugate < 0  <=>  sign(sqrt(d) - p) agrees with sign(q)
-    if _sign_p_plus_sqrt(-p, d) != sign_q:
+    if _sign_p_plus_sqrt(-p, sd) != sign_q:
         return False
     # conjugate > -1  <=>  sign(sqrt(d) - (p + q)) is opposite to sign(q)
-    return _sign_p_plus_sqrt(-(p + q), d) == -sign_q
+    return _sign_p_plus_sqrt(-(p + q), sd) == -sign_q
 
 
-def _surd_invert(p: int, q: int, d: int) -> tuple[int, int]:
-    # 1 / x = (-p + sqrt(d)) / ((d - p^2) / q)
-    return (-p, (d - p * p) // q)
+def _step_cap(M: IntMatrix2) -> int:
+    # loop bound for the word engine, linear in the input's bit length
+    return 4 * max(e.bit_length() for e in M.entries()) + 16
 
 
 def _reduce_to_positive_word(M: IntMatrix2) -> tuple[IntMatrix2, IntMatrix2]:
@@ -159,38 +159,38 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[IntMatrix2, IntMatrix2]:
     Returns (W, U) with U^-1 M U = W and W having all entries >= 1.  The
     conjugating steps follow the continued fraction of the attracting fixed
     point x = ((a - d) + sqrt(t^2 - 4)) / (2c); once x > 1 with conjugate in
-    (-1, 0), the conjugated matrix is a positive word.
+    (-1, 0), the conjugated matrix is a positive word.  Since
+    t^2 - 4 - (a - d)^2 = 4bc, the triple of x starts as (a - d, 2c, 2b).
+    The steps reach a reduced surd once the convergent denominators, which
+    grow at least like phi^n, pass sqrt(|2c|): about 0.72 steps per entry bit.
     """
-    t = M.trace()
-    d = t * t - 4
-    sd = math.isqrt(d)
     # hyperbolic integer matrices are never triangular
-    assert M.c != 0, "Anosov matrix with zero lower-left entry"
-    p, q = M.a - M.d, 2 * M.c
+    if M.c == 0:
+        raise VerificationError(f"Anosov matrix with zero lower-left entry: {M}")
+    t = M.trace()
+    sd = math.isqrt(t * t - 4)
+    p, q, r = M.a - M.d, 2 * M.c, 2 * M.b
     U = IDENTITY
-    for _ in range(_MAX_REDUCTION_STEPS):
-        if _surd_is_reduced(p, q, d):
+    for _ in range(_step_cap(M)):
+        if _surd_is_reduced(p, q, sd):
             break
-        if _surd_gt_one(p, q, d) or _sign_p_plus_sqrt(p, d) != (1 if q > 0 else -1):
+        if _surd_gt_one(p, q, sd) or _sign_p_plus_sqrt(p, sd) != (1 if q > 0 else -1):
             # x > 1 or x < 0: translate by R^-k so x lands in (0, 1)
-            k = _surd_floor(p, q, d, sd)
-            p -= k * q
-            step = _mat_gen_pow(R, k)
-            M = step.inverse() @ M @ step
-            U = U @ step
+            k = _surd_floor(p, q, sd)
+            p, r = p - k * q, r + k * (2 * p - k * q)
+            U = IntMatrix2(U.a, U.b + k * U.a, U.c, U.d + k * U.c)  # U @ R^k
         else:
-            # 0 < x < 1: apply S^-b with b = floor(1/x)
-            p1, q1 = _surd_invert(p, q, d)
-            b = _surd_floor(p1, q1, d, sd)
-            p1 -= b * q1
-            p, q = _surd_invert(p1, q1, d)
-            step = _mat_gen_pow(S, b)
-            M = step.inverse() @ M @ step
-            U = U @ step
+            # 0 < x < 1: apply S^-b with b = floor(1/x), i.e. invert,
+            # translate by b and invert back
+            b = _surd_floor(-p, r, sd)
+            p, q = p + b * r, q - b * (2 * p + b * r)
+            U = IntMatrix2(U.a + b * U.b, U.b, U.c + b * U.d, U.d)  # U @ S^b
     else:
         raise VerificationError("fixed-point reduction did not terminate")
-    assert min(M.entries()) >= 1, f"reduction left nonpositive entries: {M}"
-    return M, U
+    W = U.inverse() @ M @ U
+    if min(W.entries()) < 1:
+        raise VerificationError(f"reduction left nonpositive entries: {W}")
+    return W, U
 
 
 def _mat_gen_pow(gen: IntMatrix2, k: int) -> IntMatrix2:
@@ -203,27 +203,31 @@ def _mat_gen_pow(gen: IntMatrix2, k: int) -> IntMatrix2:
 def _peel_word(M: IntMatrix2) -> tuple[int, ...]:
     """Factor an all-positive SL(2,Z) matrix as alternating R/S blocks.
 
-    Peels R while the first row dominates the second entrywise, S in the
-    opposite case; nonnegativity and det 1 guarantee exactly one applies
-    until the identity is reached.
+    Peels the longest R-block while the first row dominates the second
+    entrywise, the longest S-block in the opposite case; nonnegativity and
+    det 1 guarantee exactly one applies until the identity is reached.  A
+    word of n blocks dominates (RS)^(n/2) entrywise, so its top-left entry
+    is at least phi^(n-1), and n stays below 1.45 times its bit length plus 1.
     """
-    letters: list[tuple[str, int]] = []
+    blocks: list[tuple[str, int]] = []
+    max_blocks = _step_cap(M)
     while M != IDENTITY:
-        if M.a >= M.c and M.b >= M.d:
-            M = IntMatrix2(M.a - M.c, M.b - M.d, M.c, M.d)
-            letter = "R"
-        elif M.c >= M.a and M.d >= M.b:
-            M = IntMatrix2(M.a, M.b, M.c - M.a, M.d - M.b)
-            letter = "S"
+        if len(blocks) >= max_blocks:
+            raise VerificationError(f"peel exceeded {max_blocks} blocks")
+        a, b, c, d = M.entries()
+        if a >= c and b >= d:
+            k = b if c == 0 else min(a // c, b // d)
+            M = IntMatrix2(a - k * c, b - k * d, c, d)
+            blocks.append(("R", k))
+        elif c >= a and d >= b:
+            k = c if b == 0 else min(c // a, d // b)
+            M = IntMatrix2(a, b, c - k * a, d - k * b)
+            blocks.append(("S", k))
         else:
             raise VerificationError(f"peel stuck on {M}")
-        if letters and letters[-1][0] == letter:
-            letters[-1] = (letter, letters[-1][1] + 1)
-        else:
-            letters.append((letter, 1))
-    if len(letters) < 2 or len(letters) % 2 != 0 or letters[0][0] != "R":
-        raise VerificationError(f"unexpected block structure {letters}")
-    return tuple(count for _, count in letters)
+    if len(blocks) < 2 or len(blocks) % 2 != 0 or blocks[0][0] != "R":
+        raise VerificationError(f"unexpected block structure {blocks}")
+    return tuple(count for _, count in blocks)
 
 
 def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
@@ -236,10 +240,7 @@ def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
     rotations = _pair_rotations(raw)
     best = min(range(len(rotations)), key=lambda i: rotations[i])
     # rotating by one pair conjugates the word matrix by its leading blocks
-    V = IDENTITY
-    for i in range(2 * best):
-        gen = R if i % 2 == 0 else S
-        V = V @ _mat_gen_pow(gen, raw[i])
+    V = CyclicWord(raw[: 2 * best]).matrix() if best else IDENTITY
     T = U @ V
     word = CyclicWord(rotations[best])
     if T.inverse() @ M @ T != word.matrix():
@@ -269,29 +270,25 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     if group not in ("sl", "gl"):
         raise ValueError(f"group must be 'sl' or 'gl', got {group!r}")
     sign_a, word_a, T_a = _canonical_data(A)
-    sign_b, word_b, T_b = _canonical_data(B)
-    if sign_a == sign_b and word_a == word_b:
-        K = T_b @ T_a.inverse()
-        if K @ A @ K.inverse() != B:
-            raise VerificationError("conjugacy witness failed to verify")
-        return ConjugacyResult(True, K, group)
-    if group == "gl":
-        mirrored = _MIRROR @ B @ _MIRROR
-        inner = are_conjugate(A, mirrored, "sl")
-        if inner.conjugate:
-            K = _MIRROR @ inner.witness
+    targets = [B, _MIRROR @ B @ _MIRROR] if group == "gl" else [B]
+    for mirrored, target in enumerate(targets):
+        sign_b, word_b, T_b = _canonical_data(target)
+        if sign_a == sign_b and word_a == word_b:
+            K = T_b @ T_a.inverse()
+            if mirrored:
+                K = _MIRROR @ K
             if K @ A @ K.inverse() != B:
-                raise VerificationError("GL conjugacy witness failed to verify")
-            return ConjugacyResult(True, K, "gl")
+                raise VerificationError("conjugacy witness failed to verify")
+            return ConjugacyResult(True, K, group)
     return ConjugacyResult(False, None, group)
 
 
 # -- reduction of indefinite binary quadratic forms ---------------------------
 
 
-def _form_is_reduced(f: MonodromyForm, sd: int) -> bool:
-    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, all exact
-    a, b, d = f.qa, f.qb, f.disc
+def _form_is_reduced(f: MonodromyForm, d: int, sd: int) -> bool:
+    # 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b for d = f.disc
+    a, b = f.qa, f.qb
     if b <= 0 or b > sd:
         return False
     two_a = 2 * abs(a)
@@ -300,9 +297,9 @@ def _form_is_reduced(f: MonodromyForm, sd: int) -> bool:
     return two_a <= b or (two_a - b) * (two_a - b) < d
 
 
-def _rho_step(f: MonodromyForm, sd: int) -> tuple[MonodromyForm, IntMatrix2]:
-    """Right neighbor of a form, with its SL(2,Z) substitution matrix."""
-    b, c, d = f.qb, f.qc, f.disc
+def _rho_step(f: MonodromyForm, d: int, sd: int) -> tuple[MonodromyForm, IntMatrix2]:
+    """Right neighbor of a form of discriminant d, with its SL(2,Z) substitution."""
+    b, c = f.qb, f.qc
     ac = abs(c)
     if c * c > d:
         # pick r = -b (mod 2|c|) in (-|c|, |c|]
@@ -326,7 +323,8 @@ def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
     """
     _require_anosov(L)
     q0 = monodromy_form(L)
-    sd = math.isqrt(q0.disc)
+    d = q0.disc
+    sd = math.isqrt(d)
     f, T = q0, IDENTITY
     neg_transform: Optional[IntMatrix2] = None
     if f.qa == 1:
@@ -334,8 +332,8 @@ def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
     if f.qa == -1:
         neg_transform = T
     steps = 0
-    while not _form_is_reduced(f, sd):
-        f, step = _rho_step(f, sd)
+    while not _form_is_reduced(f, d, sd):
+        f, step = _rho_step(f, d, sd)
         T = T @ step
         if f.qa == 1:
             return _unit_from_transform(q0, T, 1)
@@ -346,7 +344,7 @@ def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
             raise VerificationError("form reduction did not terminate")
     start = f
     while True:
-        f, step = _rho_step(f, sd)
+        f, step = _rho_step(f, d, sd)
         T = T @ step
         if f == start:
             break

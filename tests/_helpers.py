@@ -18,6 +18,36 @@ def gen_power(letter: str, e: int) -> IntMatrix2:
     return IntMatrix2(1, e, 0, 1) if letter == "R" else IntMatrix2(1, 0, e, 1)
 
 
+def letter_product(exponents: tuple[int, ...]) -> IntMatrix2:
+    """R^{e1} S^{e2} ... multiplied one letter at a time."""
+    M = IDENTITY
+    for i, e in enumerate(exponents):
+        for _ in range(e):
+            M = M @ gen_power("RS"[i % 2], 1)
+    return M
+
+
+def word_product(exponents: tuple[int, ...]) -> IntMatrix2:
+    """R^{e1} S^{e2} ... multiplied one block at a time."""
+    M = IDENTITY
+    for i, e in enumerate(exponents):
+        M = M @ gen_power("RS"[i % 2], e)
+    return M
+
+
+def least_pair_rotation(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least rotation of the exponent tuple by whole pairs."""
+    return min(exponents[i:] + exponents[:i] for i in range(0, len(exponents), 2))
+
+
+def long_conjugator(rng, bits: int) -> IntMatrix2:
+    """Random SL(2,Z) word whose largest entry has at least `bits` bits."""
+    K = IDENTITY
+    while max(abs(e) for e in K.entries()).bit_length() < bits:
+        K = K @ random_sl2(rng, factors=8, max_exp=9)
+    return K
+
+
 def random_sl2(rng, factors: int = 6, max_exp: int = 3) -> IntMatrix2:
     """Random product of R^e and S^e factors, e in [-max_exp, max_exp]."""
     M = IDENTITY

@@ -5,6 +5,7 @@ import pytest
 from solvsplit import (
     IntMatrix2,
     centralizer_description,
+    classify,
     commutes,
     express_power,
     is_reversible,
@@ -114,6 +115,16 @@ class TestReversibility:
         K = res.witness
         L = IntMatrix2(2, 1, 1, 1)
         assert K @ L @ K.inverse() == mat_pow(L, -1)
+
+    def test_reversible_outside_standard_forms(self):
+        # trace 6 and genus 3, yet conjugate to its inverse
+        L = IntMatrix2(5, 2, 2, 1)
+        assert classify(L).genus == 3
+        res = is_reversible(L)
+        assert res.reversible
+        K = res.witness
+        assert K == IntMatrix2(-2, -1, 5, 2)
+        assert K.det() == 1 and K @ L @ K.inverse() == mat_pow(L, -1)
 
     def test_rejects_non_anosov(self):
         with pytest.raises(NotAnosov):

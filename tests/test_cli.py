@@ -64,6 +64,13 @@ class TestOtherCommands:
         assert doc["result"]["conjugate"] is True
         assert doc["result"]["witness"]["det"] == -1
 
+    def test_conjugate_trace_1e15(self, capsys):
+        m = "1000000000000000,-1;1,0"
+        assert run(["conjugate", "-A", m, "-B", m, "--text"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "word +1 * R^999999999999998 S" in out
+        assert "conjugate        yes" in out
+
     def test_classes(self, capsys):
         doc = run_json(capsys, ["classes", "-t", "3"])
         assert doc["result"]["count"] == 1

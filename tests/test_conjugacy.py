@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,10 +15,21 @@ from solvsplit import (
     monodromy_form,
     represent_unit,
 )
-from solvsplit.conjugacy import R, S, CyclicWord
-from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall
+from solvsplit.conjugacy import R, S, CyclicWord, _peel_word, _reduce_to_positive_word
+from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall, VerificationError
 
-from _helpers import conjugator_search, random_anosov, random_sl2, unit_exists_brute
+from _helpers import (
+    conjugator_search,
+    least_pair_rotation,
+    letter_product,
+    long_conjugator,
+    random_anosov,
+    random_sl2,
+    unit_exists_brute,
+    word_product,
+)
+
+MIRROR = IntMatrix2(1, 0, 0, -1)
 
 
 class TestCyclicWord:
@@ -34,6 +48,12 @@ class TestCyclicWord:
         assert CyclicWord((1, 1)).matrix() == R @ S == IntMatrix2(2, 1, 1, 1)
         assert CyclicWord((2, 1)).matrix() == IntMatrix2(3, 2, 1, 1)
         assert CyclicWord((1, 2)).matrix() == IntMatrix2(3, 1, 2, 1)
+
+    def test_closed_form_matches_letter_product(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            exps = tuple(rng.randint(1, 6) for _ in range(2 * rng.randint(1, 4)))
+            assert CyclicWord(exps).matrix() == letter_product(exps)
 
     def test_examples(self):
         assert cyclic_word(IntMatrix2(2, 1, 1, 1)) == (1, CyclicWord((1, 1)))
@@ -187,3 +207,89 @@ class TestReversalThroughWords:
         L = CyclicWord((2, 1)).matrix()
         sign, word = cyclic_word(mat_pow(L, -1))
         assert sign == 1 and word == CyclicWord((1, 2))
+
+
+def _large_words(rng):
+    """Known words with huge exponents: two-block shapes and 3-4 pair words."""
+    words = []
+    for k in (3, 10**6, 10**15, rng.randint(2, 10**15)):
+        words += [(k, 1), (k, 2), (1, k)]
+    for _ in range(6):
+        pairs = rng.randint(3, 4)
+        words.append(tuple(rng.randint(1, 10**9) for _ in range(2 * pairs)))
+    return words
+
+
+class TestLargeInputs:
+    """Traces up to 10^15 and entries up to ~10^4 bits, answers known by construction."""
+
+    def test_cyclic_word_of_conjugated_known_words(self):
+        rng = random.Random(28)
+        for exps in _large_words(rng):
+            sign = rng.choice((1, -1))
+            K = long_conjugator(rng, rng.choice((16, 1000, 10_000)))
+            W = word_product(exps)
+            L = K @ (W if sign == 1 else -W) @ K.inverse()
+            assert cyclic_word(L) == (sign, CyclicWord(least_pair_rotation(exps)))
+
+    def test_gl_witnesses_remultiply(self):
+        rng = random.Random(29)
+        for exps in _large_words(rng):
+            sign = rng.choice((1, -1))
+            W = word_product(exps)
+            W = W if sign == 1 else -W
+            K1 = long_conjugator(rng, rng.choice((16, 3000)))
+            K2 = long_conjugator(rng, rng.choice((16, 10_000)))
+            A = K1 @ W @ K1.inverse()
+            for B in (K2 @ W @ K2.inverse(), K2 @ MIRROR @ W @ MIRROR @ K2.inverse()):
+                result = are_conjugate(A, B, "gl")
+                assert result.conjugate
+                K = result.witness
+                assert K.det() in (1, -1) and K @ A == B @ K
+
+    def test_distinct_large_words_not_conjugate(self):
+        rng = random.Random(30)
+        k = 10**15
+        K = long_conjugator(rng, 10_000)
+        A = K @ word_product((k, 2)) @ K.inverse()
+        B = word_product((2 * k, 1))
+        assert A.trace() == B.trace()
+        assert not are_conjugate(A, B, "gl").conjugate
+
+    def test_trace_1e15_standard_form(self):
+        # one whole block per quotient: a 10^15-letter word costs a few steps
+        m = 10**15
+        K = long_conjugator(random.Random(31), 200)
+        L = K @ IntMatrix2(m, -1, 1, 0) @ K.inverse()
+        assert cyclic_word(L) == (1, CyclicWord((m - 2, 1)))
+
+
+class TestEngineChecks:
+    def test_peel_rejects_non_words(self):
+        with pytest.raises(VerificationError, match="stuck"):
+            _peel_word(IntMatrix2(3, -1, 1, 0))
+        # S R is positive but starts with an S-block
+        with pytest.raises(VerificationError, match="block structure"):
+            _peel_word(S @ R)
+
+    def test_peel_blocks(self):
+        assert _peel_word(word_product((10**15, 7, 1, 10**9))) == (10**15, 7, 1, 10**9)
+
+    def test_checks_survive_optimized_mode(self):
+        code = (
+            "from solvsplit import IntMatrix2\n"
+            "from solvsplit.conjugacy import _reduce_to_positive_word\n"
+            "from solvsplit.errors import VerificationError\n"
+            "try:\n"
+            "    _reduce_to_positive_word(IntMatrix2(1, 5, 0, 1))\n"
+            "except VerificationError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "raised"
