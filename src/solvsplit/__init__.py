@@ -56,6 +56,7 @@ from .core_algebra import (
     parse_matrix,
     parse_slope,
     power_trace,
+    require_anosov,
 )
 from .modular_geometry import (
     AlphaArc,
@@ -119,6 +120,7 @@ __all__ = [
     "power_trace",
     "render_figure",
     "represent_unit",
+    "require_anosov",
     "splitting_descriptors",
     "standard_form",
     "standard_form_parameter",

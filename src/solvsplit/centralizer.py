@@ -13,8 +13,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conjugacy import are_conjugate
-from .core_algebra import IDENTITY, IntMatrix2, is_anosov, mat_pow, power_trace
-from .errors import NotAnosov, NotCommuting, NotExpressible, NotSL2, NotStandardForm
+from .core_algebra import IDENTITY, IntMatrix2, mat_pow, power_trace, require_anosov
+from .errors import (
+    NotCommuting,
+    NotExpressible,
+    NotSL2,
+    NotStandardForm,
+    VerificationError,
+)
 
 # determinant -1 commutants displayed for the two exceptional traces
 GL_EXTRA_POS = IntMatrix2(-2, 1, -1, 1)
@@ -96,10 +102,7 @@ def is_reversible(L: IntMatrix2) -> ReversibilityResult:
     Defined for any Anosov matrix via the conjugacy engine; on standard
     forms the answer is |m| = 3.
     """
-    if not L.is_sl2():
-        raise NotSL2(f"det {L.det()} != 1")
-    if not is_anosov(L):
-        raise NotAnosov(f"trace {L.trace()} is not Anosov")
+    require_anosov(L)
     result = are_conjugate(L, mat_pow(L, -1), "sl")
     return ReversibilityResult(result.conjugate, result.witness)
 
@@ -114,7 +117,8 @@ def centralizer_description(L: IntMatrix2) -> CentralizerDescription:
     elif m == -3:
         gl_extra = GL_EXTRA_NEG
     if gl_extra is not None:
-        assert commutes(gl_extra, L) and gl_extra.det() == -1
+        if not commutes(gl_extra, L) or gl_extra.det() != -1:
+            raise VerificationError(f"{gl_extra} is not a det -1 commutant of {L}")
         gl_extra_square = express_power(gl_extra @ gl_extra, L)
     rev = is_reversible(L)
     return CentralizerDescription(

@@ -19,11 +19,11 @@ from .core_algebra import (
     IDENTITY,
     IntMatrix2,
     PrimitiveSlope,
-    is_anosov,
     mat_pow,
     monodromy_form,
+    require_anosov,
 )
-from .errors import InconsistentWitness, NotAnosov, NotSL2
+from .errors import InconsistentWitness
 
 _FLIP = IntMatrix2(1, 0, 0, -1)
 RHO = IntMatrix2(0, 1, 1, 0)
@@ -108,10 +108,7 @@ def standard_form(L: IntMatrix2) -> Optional[StandardFormResult]:
     reaches the mirror [[t, 1], [-1, 0]] and composing with diag(1, -1)
     lands on the standard form at the cost of determinant -1.
     """
-    if not L.is_sl2():
-        raise NotSL2(f"det {L.det()} != 1")
-    if not is_anosov(L):
-        raise NotAnosov(f"trace {L.trace()} is not Anosov")
+    require_anosov(L)
     t = L.trace()
     if (L.b, L.c, L.d) == (-1, 1, 0):
         return StandardFormResult(t, IDENTITY, 1, 1)
@@ -130,7 +127,8 @@ def standard_form(L: IntMatrix2) -> Optional[StandardFormResult]:
         Kprime = IntMatrix2(vprime[0], v[0], vprime[1], v[1])
         K = _FLIP @ Kprime.inverse()
         det = -1
-    assert Kprime.det() == 1
+    if Kprime.det() != 1:
+        raise InconsistentWitness(f"unit-curve basis has det {Kprime.det()}, not 1")
     result = StandardFormResult(t, K, det, unit.value)
     if K @ L @ K.inverse() != result.target():
         raise InconsistentWitness("standard-form conjugator failed to verify")
@@ -191,10 +189,7 @@ def splitting_descriptors(
     with beta = (1,1) at level 1/2), each together with the curve pulled
     back to the input coordinates.
     """
-    if not L.is_sl2():
-        raise NotSL2(f"det {L.det()} != 1")
-    if not is_anosov(L):
-        raise NotAnosov(f"trace {L.trace()} is not Anosov")
+    require_anosov(L)
     if sf is None:
         spine = SpineDescription(
             kind="standard_genus3",
@@ -244,10 +239,7 @@ def classify(L: IntMatrix2) -> ClassificationReport:
     Non-Anosov input is rejected; the manifold is then not a solvmanifold
     and the dichotomy does not apply.
     """
-    if not L.is_sl2():
-        raise NotSL2(f"det {L.det()} != 1 (orientation-reversing or non-bundle input)")
-    if not is_anosov(L):
-        raise NotAnosov(f"trace {L.trace()} has absolute value <= 2")
+    require_anosov(L)
     t = L.trace()
     sf = standard_form(L)
     spines, involution = splitting_descriptors(L, sf)

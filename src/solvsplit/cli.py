@@ -25,7 +25,7 @@ from .core_algebra import (
 )
 from .errors import DomainError, ParseError, VerificationError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -180,8 +180,8 @@ def _cmd_conjugate(args) -> int:
     A = parse_matrix(args.matrix_a)
     B = parse_matrix(args.matrix_b)
     result = conjugacy.are_conjugate(A, B, args.group)
-    sign_a, word_a = conjugacy.cyclic_word(A)
-    sign_b, word_b = conjugacy.cyclic_word(B)
+    sign_a, word_a = result.invariant_a
+    sign_b, word_b = result.invariant_b
     verification = []
     witness_doc = None
     if result.conjugate:
@@ -220,6 +220,7 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_classes(args) -> int:
     reps = conjugacy.classes_of_trace(args.trace)
+    invariants = [conjugacy.cyclic_word(M) for M in reps]
     verification = [
         (
             "representatives have the requested trace and det 1",
@@ -227,20 +228,14 @@ def _cmd_classes(args) -> int:
         ),
         (
             "representatives are pairwise non-conjugate",
-            len({conjugacy.cyclic_word(M) for M in reps}) == len(reps),
+            len(set(invariants)) == len(reps),
         ),
     ]
     doc = _doc("classes", {"trace": args.trace})
-    classes = []
-    for M in reps:
-        sign, word = conjugacy.cyclic_word(M)
-        classes.append(
-            {
-                "representative": format_matrix(M),
-                "sign": sign,
-                "word": list(word.exponents),
-            }
-        )
+    classes = [
+        {"representative": format_matrix(M), "sign": sign, "word": list(word.exponents)}
+        for M, (sign, word) in zip(reps, invariants)
+    ]
     doc["result"] = {"trace": args.trace, "count": len(reps), "classes": classes}
 
     def text_lines():

@@ -15,8 +15,8 @@ from itertools import product
 from typing import Optional
 
 from .conjugacy import are_conjugate
-from .core_algebra import IntMatrix2, is_anosov, power_trace
-from .errors import NotAnosov, NotSL2, VerificationError
+from .core_algebra import IntMatrix2, power_trace, require_anosov
+from .errors import VerificationError
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,6 @@ class VirtualConjugacy:
 
     def __bool__(self) -> bool:
         return self.virtually_conjugate
-
-
-def _require_anosov_pair(A: IntMatrix2, B: IntMatrix2) -> None:
-    for name, M in (("A", A), ("B", B)):
-        if not M.is_sl2():
-            raise NotSL2(f"{name} has det {M.det()} != 1")
-        if not is_anosov(M):
-            raise NotAnosov(f"{name} has trace {M.trace()}, not Anosov")
 
 
 def _rational_kernel(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -90,7 +82,8 @@ def intertwiner(A: IntMatrix2, B: IntMatrix2) -> Optional[Intertwiner]:
     are scanned for the least |det|; minimality beyond that bounded search
     is not claimed.
     """
-    _require_anosov_pair(A, B)
+    require_anosov(A, "A")
+    require_anosov(B, "B")
     if A.trace() != B.trace():
         return None
     conj = are_conjugate(A, B, "gl")
@@ -136,7 +129,8 @@ def _checked(A: IntMatrix2, B: IntMatrix2, P: IntMatrix2) -> Intertwiner:
 
 def virtually_conjugate(A: IntMatrix2, B: IntMatrix2) -> VirtualConjugacy:
     """Equal traces decide virtual conjugacy; a witness is attached when true."""
-    _require_anosov_pair(A, B)
+    require_anosov(A, "A")
+    require_anosov(B, "B")
     if A.trace() != B.trace():
         return VirtualConjugacy(False, None)
     witness = intertwiner(A, B)
@@ -152,10 +146,7 @@ def has_power_with_trace(A: IntMatrix2, s: int) -> Optional[int]:
     soon as it overshoots |s|; negative traces alternate sign through the
     same recursion.
     """
-    if not A.is_sl2():
-        raise NotSL2(f"det {A.det()} != 1")
-    if not is_anosov(A):
-        raise NotAnosov(f"trace {A.trace()} is not Anosov")
+    require_anosov(A)
     t = A.trace()
     n = 1
     while True:

@@ -1,9 +1,7 @@
 """Exact conjugacy machinery for hyperbolic elements of SL(2,Z).
 
-Two independent engines live here.
-
-The first decides conjugacy.  Every hyperbolic matrix with positive trace is
-conjugate to a product of positive powers of
+Every hyperbolic matrix with positive trace is conjugate to a product of
+positive powers of
     R = [[1, 1], [0, 1]]   and   S = [[1, 0], [1, 1]],
 unique up to rotating the word by whole R-block/S-block pairs.  We reach such
 a product by conjugating with powers of R and S that continued-fraction
@@ -13,10 +11,9 @@ R^k or S^k per integer quotient, in steps linear in the input's bit length.
 The pair (trace sign, canonical word) is a complete conjugacy invariant, and
 the accumulated conjugations give explicit witnesses.
 
-The second decides which units the monodromy form represents, by walking the
-cycle of reduced indefinite forms while accumulating the change-of-variable
-matrices.  A form of discriminant t^2 - 4 > 4 represents +1 or -1 exactly
-when that value occurs as a leading coefficient somewhere in its cycle.
+This one reduction serves every decision here: conjugacy compares words,
+unit curves are read off the canonical word and its conjugator, and class
+enumeration deduplicates by word.
 """
 
 from __future__ import annotations
@@ -28,17 +25,14 @@ from typing import Optional
 from .core_algebra import (
     IDENTITY,
     IntMatrix2,
-    MonodromyForm,
     PrimitiveSlope,
-    is_anosov,
     monodromy_form,
+    require_anosov,
 )
-from .errors import NotAnosov, NotSL2, TraceTooSmall, VerificationError
+from .errors import TraceTooSmall, VerificationError
 
 R = IntMatrix2(1, 1, 0, 1)
 S = IntMatrix2(1, 0, 1, 1)
-
-_MAX_REDUCTION_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -90,9 +84,13 @@ class UnitWitness:
 
 @dataclass(frozen=True)
 class ConjugacyResult:
+    """Verdict and witness, with the (sign, word) invariants of A and of B."""
+
     conjugate: bool
     witness: Optional[IntMatrix2]
     group: str
+    invariant_a: tuple[int, CyclicWord]
+    invariant_b: tuple[int, CyclicWord]
 
     def __bool__(self) -> bool:
         return self.conjugate
@@ -100,13 +98,6 @@ class ConjugacyResult:
 
 def _pair_rotations(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [exponents[i:] + exponents[:i] for i in range(0, len(exponents), 2)]
-
-
-def _require_anosov(M: IntMatrix2, name: str = "matrix") -> None:
-    if not M.is_sl2():
-        raise NotSL2(f"{name} has det {M.det()} != 1")
-    if abs(M.trace()) <= 2:
-        raise NotAnosov(f"{name} has trace {M.trace()}, not Anosov")
 
 
 # -- quadratic surd steps, pure integer arithmetic ----------------------------
@@ -232,7 +223,7 @@ def _peel_word(M: IntMatrix2) -> tuple[int, ...]:
 
 def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
     """(sign, canonical word, T) with T^-1 (sign*L) T = word matrix."""
-    _require_anosov(L)
+    require_anosov(L)
     sign = 1 if L.trace() > 0 else -1
     M = L if sign == 1 else -L
     W, U = _reduce_to_positive_word(M)
@@ -270,102 +261,48 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     if group not in ("sl", "gl"):
         raise ValueError(f"group must be 'sl' or 'gl', got {group!r}")
     sign_a, word_a, T_a = _canonical_data(A)
-    targets = [B, _MIRROR @ B @ _MIRROR] if group == "gl" else [B]
-    for mirrored, target in enumerate(targets):
-        sign_b, word_b, T_b = _canonical_data(target)
-        if sign_a == sign_b and word_a == word_b:
-            K = T_b @ T_a.inverse()
-            if mirrored:
-                K = _MIRROR @ K
-            if K @ A @ K.inverse() != B:
-                raise VerificationError("conjugacy witness failed to verify")
-            return ConjugacyResult(True, K, group)
-    return ConjugacyResult(False, None, group)
-
-
-# -- reduction of indefinite binary quadratic forms ---------------------------
-
-
-def _form_is_reduced(f: MonodromyForm, d: int, sd: int) -> bool:
-    # 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b for d = f.disc
-    a, b = f.qa, f.qb
-    if b <= 0 or b > sd:
-        return False
-    two_a = 2 * abs(a)
-    if (two_a + b) * (two_a + b) <= d:
-        return False
-    return two_a <= b or (two_a - b) * (two_a - b) < d
-
-
-def _rho_step(f: MonodromyForm, d: int, sd: int) -> tuple[MonodromyForm, IntMatrix2]:
-    """Right neighbor of a form of discriminant d, with its SL(2,Z) substitution."""
-    b, c = f.qb, f.qc
-    ac = abs(c)
-    if c * c > d:
-        # pick r = -b (mod 2|c|) in (-|c|, |c|]
-        r = (-b + ac - 1) % (2 * ac) - ac + 1
-    else:
-        # pick r = -b (mod 2|c|) in (sqrt(d) - 2|c|, sqrt(d))
-        r = sd - (sd + b) % (2 * ac)
-    s = (b + r) // (2 * c)
-    nxt = MonodromyForm(c, r, (r * r - d) // (4 * c))
-    return nxt, IntMatrix2(0, -1, 1, s)
+    sign_b, word_b, T_b = _canonical_data(B)
+    invariants = ((sign_a, word_a), (sign_b, word_b))
+    mirrored = group == "gl" and invariants[0] != invariants[1]
+    if mirrored:
+        sign_b, word_b, T_b = _canonical_data(_MIRROR @ B @ _MIRROR)
+    if (sign_a, word_a) != (sign_b, word_b):
+        return ConjugacyResult(False, None, group, *invariants)
+    K = T_b @ T_a.inverse()
+    if mirrored:
+        K = _MIRROR @ K
+    if K @ A @ K.inverse() != B:
+        raise VerificationError("conjugacy witness failed to verify")
+    return ConjugacyResult(True, K, group, *invariants)
 
 
 def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
     """Find a curve with |Q_L| = 1, or decide none exists.
 
-    Walks the reduction path of Q_L and then its full cycle, accumulating the
-    change-of-variable matrices; any form met with leading coefficient +-1
-    yields a witness (preferring +1).  Since 1 < sqrt(disc)/2, every unit the
-    form represents shows up as a leading coefficient in the cycle, so an
-    empty walk is a proof of impossibility.
+    Reads the answer off the canonical data (sign, word, T), where
+    T^-1 (sign*L) T = W.  Since det T = 1, Q_{T W T^-1}(T v) = Q_W(v), and
+    Q_{-M} = -Q_M, so Q_L(T v) = sign * Q_W(v).  For t = |trace L| the
+    standard form [[t, -1], [1, 0]] has word R^{t-2} S with Q_W(1, 0) = 1,
+    and its mirror [[t, 1], [-1, 0]] has word R S^{t-2} with Q_W(0, 1) = -1.
+    Conversely a curve where Q_{sign*L} is +1 (or -1) gives a det 1 basis in
+    which sign*L is the standard form (or its mirror), as in
+    `classification.standard_form`.  So a unit curve exists iff the word is
+    one of those two; it is then the first or the second column of T, and
+    None is a proof that there is none.  At trace +-3 the word is R S and
+    both columns are unit curves; the one with value +1 is returned.
     """
-    _require_anosov(L)
-    q0 = monodromy_form(L)
-    d = q0.disc
-    sd = math.isqrt(d)
-    f, T = q0, IDENTITY
-    neg_transform: Optional[IntMatrix2] = None
-    if f.qa == 1:
-        return _unit_from_transform(q0, T, 1)
-    if f.qa == -1:
-        neg_transform = T
-    steps = 0
-    while not _form_is_reduced(f, d, sd):
-        f, step = _rho_step(f, d, sd)
-        T = T @ step
-        if f.qa == 1:
-            return _unit_from_transform(q0, T, 1)
-        if f.qa == -1 and neg_transform is None:
-            neg_transform = T
-        steps += 1
-        if steps > _MAX_REDUCTION_STEPS:
-            raise VerificationError("form reduction did not terminate")
-    start = f
-    while True:
-        f, step = _rho_step(f, d, sd)
-        T = T @ step
-        if f == start:
-            break
-        if f.qa == 1:
-            return _unit_from_transform(q0, T, 1)
-        if f.qa == -1 and neg_transform is None:
-            neg_transform = T
-        steps += 1
-        if steps > _MAX_REDUCTION_STEPS:
-            raise VerificationError("form cycle did not close")
-    if neg_transform is not None:
-        return _unit_from_transform(q0, neg_transform, -1)
+    sign, word, T = _canonical_data(L)
+    n = abs(L.trace()) - 2
+    if word.exponents == (n, 1) and (sign == 1 or n != 1):
+        return _checked_unit(L, (T.a, T.c), sign)
+    if word.exponents == (1, n):
+        return _checked_unit(L, (T.b, T.d), -sign)
     return None
 
 
-def _unit_from_transform(
-    original: MonodromyForm, T: IntMatrix2, value: int
-) -> UnitWitness:
-    # leading coefficient of Q∘T is Q(T(1,0)), i.e. Q at the first column
-    curve = PrimitiveSlope(T.a, T.c)
-    actual = original.evaluate(T.a, T.c)
+def _checked_unit(L: IntMatrix2, v: tuple[int, int], value: int) -> UnitWitness:
+    curve = PrimitiveSlope(*v)
+    actual = monodromy_form(L).evaluate(*v)
     if actual != value:
         raise VerificationError(f"unit witness check failed: Q({curve}) = {actual}")
     return UnitWitness(curve, value)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotSL2, NotUnimodular, ParseError
+from .errors import NotAnosov, NotSL2, NotUnimodular, ParseError
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,14 @@ def is_anosov(L: IntMatrix2) -> bool:
     if not L.is_sl2():
         raise NotSL2(f"det {L.det()} != 1")
     return abs(L.trace()) > 2
+
+
+def require_anosov(M: IntMatrix2, name: str = "matrix") -> None:
+    """Raise NotSL2 or NotAnosov unless M is an Anosov element of SL(2,Z)."""
+    if not M.is_sl2():
+        raise NotSL2(f"{name} has det {M.det()} != 1")
+    if abs(M.trace()) <= 2:
+        raise NotAnosov(f"{name} has trace {M.trace()}, not Anosov")
 
 
 def power_trace(t: int, n: int) -> int:

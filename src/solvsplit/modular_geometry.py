@@ -14,12 +14,11 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .centralizer import is_reversible
-from .core_algebra import IntMatrix2, is_anosov
+from .core_algebra import IntMatrix2, require_anosov
 from .errors import (
-    NotAnosov,
-    NotSL2,
     NotUpperHalfPlane,
     TraceTooSmall,
+    VerificationError,
     VerticalAxis,
 )
 
@@ -205,10 +204,7 @@ def axis(A: IntMatrix2) -> Geodesic:
     The fixed points solve c z^2 + (d - a) z - b = 0; an Anosov integer
     matrix can never be triangular, so c = 0 does not occur.
     """
-    if not A.is_sl2():
-        raise NotSL2(f"det {A.det()} != 1")
-    if not is_anosov(A):
-        raise NotAnosov(f"trace {A.trace()} is not Anosov")
+    require_anosov(A)
     if A.c == 0:
         raise VerticalAxis("lower-left entry is zero (parabolic, unreachable)")
     t = A.trace()
@@ -354,13 +350,11 @@ def hits_order2_cone(L: IntMatrix2) -> bool:
     Equivalent to reversibility; for standard-form input the answer is
     cross-checked against the exact integer incidence test.
     """
-    if not L.is_sl2():
-        raise NotSL2(f"det {L.det()} != 1")
-    if not is_anosov(L):
-        raise NotAnosov(f"trace {L.trace()} is not Anosov")
+    require_anosov(L)
     reversible = is_reversible(L).reversible
     if (L.b, L.c, L.d) == (-1, 1, 0):
-        assert reversible == bool(axis_order2_points(L.a))
+        if reversible != bool(axis_order2_points(L.a)):
+            raise VerificationError(f"reversal of {L} disagrees with the cone test")
     return reversible
 
 

@@ -16,7 +16,7 @@ def run_json(capsys, argv):
 class TestClassifyCommand:
     def test_figure_eight_json(self, capsys):
         doc = run_json(capsys, ["classify", "-m", "2,1;1,1"])
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         result = doc["result"]
         assert result["genus"] == 2
         assert result["irreducible_splitting_count"] == 2

@@ -1,7 +1,9 @@
+import ast
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from solvsplit import (
     PrimitiveSlope,
     are_conjugate,
     classes_of_trace,
+    classify,
     cyclic_word,
     mat_pow,
     monodromy_form,
@@ -129,7 +132,7 @@ class TestAreConjugate:
 class TestRepresentUnit:
     def test_examples(self):
         w = represent_unit(IntMatrix2(3, -1, 1, 0))
-        assert w.curve == PrimitiveSlope(1, 0) and w.value == 1
+        assert w.curve == PrimitiveSlope(3, 1) and w.value == 1
         w = represent_unit(IntMatrix2(2, 1, 1, 1))
         assert w.curve == PrimitiveSlope(1, 0) and w.value == 1
         assert represent_unit(IntMatrix2(1, 2, 2, 5)) is None
@@ -155,7 +158,7 @@ class TestRepresentUnit:
             K = random_sl2(rng)
             base = IntMatrix2(2, 1, 1, 1) if rng.random() < 0.5 else IntMatrix2(-2, -1, -1, -1)
             w = represent_unit(K @ base @ K.inverse())
-            assert w is not None
+            assert w is not None and w.value == 1
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(26)
@@ -262,6 +265,14 @@ class TestLargeInputs:
         K = long_conjugator(random.Random(31), 200)
         L = K @ IntMatrix2(m, -1, 1, 0) @ K.inverse()
         assert cyclic_word(L) == (1, CyclicWord((m - 2, 1)))
+        # 22k-bit entries: the unit curve comes off the canonical conjugator
+        K = mat_pow(R @ S, 8000)
+        L = K @ IntMatrix2(7, -1, 1, 0) @ K.inverse()
+        report = classify(L)
+        assert report.genus == 2
+        Ksf = report.standard_form.conjugator
+        assert Ksf @ L @ Ksf.inverse() == IntMatrix2(7, -1, 1, 0)
+        assert abs(monodromy_form(L).evaluate(*report.witness_curve.vector())) == 1
 
 
 class TestEngineChecks:
@@ -293,3 +304,14 @@ class TestEngineChecks:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert out.stdout.strip() == "raised"
+
+    def test_library_has_no_assert_statements(self):
+        # assert vanishes under python -O; library checks must raise instead
+        src = Path(__file__).resolve().parent.parent / "src" / "solvsplit"
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

@@ -18,8 +18,9 @@ from solvsplit import (
     parse_matrix,
     parse_slope,
     power_trace,
+    require_anosov,
 )
-from solvsplit.errors import NotSL2, NotUnimodular, ParseError
+from solvsplit.errors import NotAnosov, NotSL2, NotUnimodular, ParseError
 
 from _helpers import random_anosov, random_primitive, random_sl2
 
@@ -118,6 +119,13 @@ class TestAnosov:
         assert is_anosov(IntMatrix2(2, 1, 1, 1))
         assert not is_anosov(IntMatrix2(1, 1, 0, 1))
         assert not is_anosov(IntMatrix2(0, -1, 1, 0))
+
+    def test_guard(self):
+        require_anosov(IntMatrix2(-3, -1, 1, 0))
+        with pytest.raises(NotSL2, match="^B has det -1"):
+            require_anosov(IntMatrix2(1, 0, 0, -1), "B")
+        with pytest.raises(NotAnosov, match="^matrix has trace 2"):
+            require_anosov(IntMatrix2(1, 1, 0, 1))
 
 
 class TestPowers:
