@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conjugacy import are_conjugate
-from .core_algebra import IDENTITY, IntMatrix2, mat_pow, power_trace, require_anosov
+from .core_algebra import IDENTITY, IntMatrix2, mat_pow, power_index, require_anosov
 from .errors import (
     NotCommuting,
     NotExpressible,
@@ -82,10 +82,8 @@ def express_power(K: IntMatrix2, L: IntMatrix2) -> tuple[int, int]:
     if K == -IDENTITY:
         return (-1, 0)
     target = abs(K.trace())
-    n = 1
-    while power_trace(abs(m), n) < target:
-        n += 1
-    if power_trace(abs(m), n) != target:
+    n = power_index(abs(m), target)
+    if n is None:
         raise NotExpressible(f"|trace| = {target} is not a trace of a power")
     for exponent in (n, -n):
         P = mat_pow(L, exponent)

@@ -1,9 +1,9 @@
 """Command-line front end: classification runs, JSON reports, SVG figures.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 parse
-error, 3 domain error, 4 internal verification failure.  Every witness that
-gets printed is re-verified by exact multiplication first; a failed check
-aborts with code 4 instead of emitting the document.
+or i/o error, 3 domain error, 4 internal verification failure.  Every
+witness that gets printed is re-verified by exact multiplication first; a
+failed check aborts with code 4 instead of emitting the document.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+
+# `classes` makes about t^2/4 divisibility tests and `figure` writes an SVG
+# linear in m, so both refuse larger values with a domain error
+MAX_CLASSES_TRACE = 10**4
+MAX_FIGURE_M = 10**4
 
 
 def _frac(f: Fraction) -> str:
@@ -219,6 +224,8 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_classes(args) -> int:
+    if abs(args.trace) > MAX_CLASSES_TRACE:
+        raise DomainError(f"|trace| {abs(args.trace)} > limit {MAX_CLASSES_TRACE}")
     reps = conjugacy.classes_of_trace(args.trace)
     invariants = [conjugacy.cyclic_word(M) for M in reps]
     verification = [
@@ -392,6 +399,8 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    if abs(args.m) > MAX_FIGURE_M:
+        raise DomainError(f"|m| {abs(args.m)} > limit {MAX_FIGURE_M}")
     palette = None
     if args.palette:
         with open(args.palette, "r", encoding="utf-8") as fh:
@@ -469,7 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("classes", help="conjugacy classes of a given trace")
-    p.add_argument("-t", dest="trace", type=int, required=True)
+    p.add_argument("-t", dest="trace", type=int, required=True,
+                   help=f"trace, 3 <= |t| <= {MAX_CLASSES_TRACE}")
     add_mode(p)
     p.set_defaults(func=_cmd_classes)
 
@@ -490,7 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("figure", help="render the axis picture as SVG")
-    p.add_argument("--m", type=int, required=True, help="standard-form parameter")
+    p.add_argument("--m", type=int, required=True,
+                   help=f"standard-form parameter, 3 <= |m| <= {MAX_FIGURE_M}")
     p.add_argument("-o", dest="output", required=True, help="output SVG path")
     p.add_argument("--palette", help="optional JSON palette override")
     add_mode(p)

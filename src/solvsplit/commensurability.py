@@ -15,7 +15,7 @@ from itertools import product
 from typing import Optional
 
 from .conjugacy import are_conjugate
-from .core_algebra import IntMatrix2, power_trace, require_anosov
+from .core_algebra import IntMatrix2, power_index, require_anosov
 from .errors import VerificationError
 
 
@@ -140,19 +140,6 @@ def virtually_conjugate(A: IntMatrix2, B: IntMatrix2) -> VirtualConjugacy:
 
 
 def has_power_with_trace(A: IntMatrix2, s: int) -> Optional[int]:
-    """Least n >= 1 with trace(A^n) = s, or None.
-
-    |trace(A^n)| is strictly increasing for Anosov A, so the search stops as
-    soon as it overshoots |s|; negative traces alternate sign through the
-    same recursion.
-    """
+    """Least n >= 1 with trace(A^n) = s, or None."""
     require_anosov(A)
-    t = A.trace()
-    n = 1
-    while True:
-        tn = power_trace(t, n)
-        if tn == s:
-            return n
-        if abs(tn) > abs(s):
-            return None
-        n += 1
+    return power_index(A.trace(), s)

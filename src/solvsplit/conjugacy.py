@@ -13,7 +13,11 @@ the accumulated conjugations give explicit witnesses.
 
 This one reduction serves every decision here: conjugacy compares words,
 unit curves are read off the canonical word and its conjugator, and class
-enumeration deduplicates by word.
+enumeration lists reduced words rather than deduplicating by word.
+[[a, b], [c, d]] is reduced when d >= 1, b >= d and c >= d (then a >= b, c
+by ad - bc = 1): exactly the positive words that start with R and end with
+S.  So a class's reduced members are its word's pair rotations, and the
+reduction stops at the first.
 """
 
 from __future__ import annotations
@@ -127,18 +131,6 @@ def _surd_gt_one(p: int, q: int, sd: int) -> bool:
     return _sign_p_plus_sqrt(p - q, sd) == (1 if q > 0 else -1)
 
 
-def _surd_is_reduced(p: int, q: int, sd: int) -> bool:
-    # x > 1 and the conjugate (p - sqrt(d)) / q lies in (-1, 0)
-    if not _surd_gt_one(p, q, sd):
-        return False
-    sign_q = 1 if q > 0 else -1
-    # conjugate < 0  <=>  sign(sqrt(d) - p) agrees with sign(q)
-    if _sign_p_plus_sqrt(-p, sd) != sign_q:
-        return False
-    # conjugate > -1  <=>  sign(sqrt(d) - (p + q)) is opposite to sign(q)
-    return _sign_p_plus_sqrt(-(p + q), sd) == -sign_q
-
-
 def _step_cap(M: IntMatrix2) -> int:
     # loop bound for the word engine, linear in the input's bit length
     return 4 * max(e.bit_length() for e in M.entries()) + 16
@@ -147,13 +139,15 @@ def _step_cap(M: IntMatrix2) -> int:
 def _reduce_to_positive_word(M: IntMatrix2) -> tuple[IntMatrix2, IntMatrix2]:
     """Conjugate trace >= 3 input into a positive R/S word.
 
-    Returns (W, U) with U^-1 M U = W and W having all entries >= 1.  The
-    conjugating steps follow the continued fraction of the attracting fixed
-    point x = ((a - d) + sqrt(t^2 - 4)) / (2c); once x > 1 with conjugate in
-    (-1, 0), the conjugated matrix is a positive word.  Since
-    t^2 - 4 - (a - d)^2 = 4bc, the triple of x starts as (a - d, 2c, 2b).
-    The steps reach a reduced surd once the convergent denominators, which
-    grow at least like phi^n, pass sqrt(|2c|): about 0.72 steps per entry bit.
+    Returns (W, U) with U^-1 M U = W and W reduced, so all entries >= 1.
+    The conjugating steps follow the continued fraction of the attracting
+    fixed point x = ((a - d) + sqrt(t^2 - 4)) / (2c) of the current
+    conjugate, carried as (p, q, r) = (a - d, 2c, 2b) since
+    t^2 - 4 - (a - d)^2 = 4bc.  So d = (t - p) / 2, and the loop stops on
+    2 <= t - p <= min(q, r), i.e. d >= 1, c >= d and b >= d: x > 1 with
+    conjugate in (-1, 0).  It gets there once the convergent denominators,
+    which grow at least like phi^n, pass sqrt(|2c|): about 0.72 steps per
+    entry bit.
     """
     # hyperbolic integer matrices are never triangular
     if M.c == 0:
@@ -163,7 +157,7 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[IntMatrix2, IntMatrix2]:
     p, q, r = M.a - M.d, 2 * M.c, 2 * M.b
     U = IDENTITY
     for _ in range(_step_cap(M)):
-        if _surd_is_reduced(p, q, sd):
+        if 2 <= t - p <= min(q, r):
             break
         if _surd_gt_one(p, q, sd) or _sign_p_plus_sqrt(p, sd) != (1 if q > 0 else -1):
             # x > 1 or x < 0: translate by R^-k so x lands in (0, 1)
@@ -311,32 +305,23 @@ def _checked_unit(L: IntMatrix2, v: tuple[int, int], value: int) -> UnitWitness:
 def classes_of_trace(t: int) -> list[IntMatrix2]:
     """One representative per SL(2,Z)-conjugacy class of Anosov trace t.
 
-    Candidates are complete because every class has a representative whose
-    axis meets the circular side of the fundamental domain: the axis radius
-    sqrt(t^2-4)/(2|c|) must reach height sqrt(3)/2, bounding |c|, and the
-    axis center (a-d)/(2c) stays within reach of that side, bounding |a-d|.
-    Deduplication is by canonical cyclic word; each class is materialized
-    from its lexicographically least word.
+    Every class has reduced members: the matrices of its word's pair
+    rotations.  A reduced [[t-d, b], [c, d]] has bc = n = (t-d)d - 1 with
+    b, c >= d (so d < t/2), so the divisors b of n in [d, n/d] list each
+    once; the one whose word is its own least pair rotation represents the
+    class.  Sorted by word; about t^2/4 divisibility tests.
     """
     if abs(t) <= 2:
         raise TraceTooSmall(f"|trace| must be >= 3, got {t}")
     if t < 0:
         return [-M for M in classes_of_trace(-t)]
-    disc = t * t - 4
-    c_max = math.isqrt(disc // 3)
-    delta_max = 2 * c_max + math.isqrt(disc) + 1
-    seen: dict[tuple[int, ...], None] = {}
-    for c in range(-c_max, c_max + 1):
-        if c == 0:
-            continue
-        for delta in range(-delta_max, delta_max + 1):
-            if (t + delta) % 2 != 0:
-                continue
-            a = (t + delta) // 2
-            d = t - a
-            if (a * d - 1) % c != 0:
-                continue
-            b = (a * d - 1) // c
-            _, word = cyclic_word(IntMatrix2(a, b, c, d))
-            seen.setdefault(word.exponents, None)
-    return [CyclicWord(exps).matrix() for exps in sorted(seen)]
+    found = []
+    for d in range(1, t // 2 + 1):
+        n = (t - d) * d - 1
+        for b in range(d, n // d + 1):
+            if n % b == 0:
+                W = IntMatrix2(t - d, b, n // b, d)
+                word = _peel_word(W)
+                if word == min(_pair_rotations(word)):
+                    found.append((word, W))
+    return [W for _, W in sorted(found)]

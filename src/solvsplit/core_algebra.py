@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import NotAnosov, NotSL2, NotUnimodular, ParseError
 
@@ -183,6 +184,22 @@ def power_trace(t: int, n: int) -> int:
     for _ in range(n - 1):
         prev, cur = cur, t * cur - prev
     return cur
+
+
+def power_index(t: int, s: int) -> Optional[int]:
+    """Least n >= 1 with power_trace(t, n) == s, or None; needs |t| >= 3.
+
+    |t_n| strictly increases, so stepping the recursion stops once it passes
+    |s|, after a number of steps linear in the bit length of s.
+    """
+    if abs(t) < 3:
+        raise ValueError("|t| must be >= 3")
+    n, prev, cur = 1, 2, t
+    while abs(cur) <= abs(s):
+        if cur == s:
+            return n
+        n, prev, cur = n + 1, cur, t * cur - prev
+    return None
 
 
 def mat_pow(L: IntMatrix2, n: int) -> IntMatrix2:

@@ -3,7 +3,8 @@
 The oracles are deliberately independent of the library's decision
 procedures: conjugacy and commutation are checked by exhaustive scans over
 entry boxes (vectorized with numpy, values stay far inside int64), and unit
-representation by evaluating the form on a full grid of primitive pairs.
+representation by evaluating the form on a full grid of primitive pairs,
+and class enumeration by a depth-first search over positive words.
 """
 
 from __future__ import annotations
@@ -38,6 +39,34 @@ def word_product(exponents: tuple[int, ...]) -> IntMatrix2:
 def least_pair_rotation(exponents: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least rotation of the exponent tuple by whole pairs."""
     return min(exponents[i:] + exponents[:i] for i in range(0, len(exponents), 2))
+
+
+def words_of_trace(t: int) -> set[tuple[int, ...]]:
+    """Least pair rotations of every positive word R^a1 S^b1 ... of trace t.
+
+    Plain tuple arithmetic, no library calls.  Appending R^a S^b to a
+    nonnegative invertible prefix (x, y, z, w) gives trace
+    x + z*a + w + (x*a + y)*b, which grows with a and with b, so the
+    depth-first search stops each branch once the trace passes t.
+    """
+    found = set()
+    stack = [((1, 0, 0, 1), ())]
+    while stack:
+        (x, y, z, w), word = stack.pop()
+        a = 1
+        while x + z * a + w + x * a + y <= t:
+            top, bottom = x * a + y, z * a + w  # the prefix times R^a
+            b = 1
+            while x + bottom + top * b <= t:
+                nxt = (x + top * b, top, z + bottom * b, bottom)
+                longer = word + (a, b)
+                if nxt[0] + nxt[3] == t:
+                    found.add(least_pair_rotation(longer))
+                else:
+                    stack.append((nxt, longer))
+                b += 1
+            a += 1
+    return found
 
 
 def long_conjugator(rng, bits: int) -> IntMatrix2:

@@ -42,6 +42,9 @@ class TestExpressPower:
     def test_example_negative_cube(self):
         assert express_power(IntMatrix2(-56, 15, -15, 4), L4) == (-1, 3)
 
+    def test_long_inverse_power(self):
+        assert express_power(mat_pow(L3, -3000), L3) == (1, -3000)
+
     def test_det_minus_one_is_not_expressible(self):
         with pytest.raises(NotExpressible):
             express_power(IntMatrix2(-2, 1, -1, 1), L3)

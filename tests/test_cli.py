@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from solvsplit import parse_matrix
+from solvsplit import cli, parse_matrix
 from solvsplit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, _emit, run
 
 
@@ -78,6 +78,33 @@ class TestOtherCommands:
 
     def test_classes_small_trace_rejected(self, capsys):
         assert run(["classes", "-t", "2"]) == EXIT_DOMAIN
+        capsys.readouterr()
+
+    def test_size_limits(self, capsys, tmp_path):
+        out = tmp_path / "big.svg"
+        requests = [
+            ["classes", "-t", "10001"],
+            ["classes", "-t", "-10001"],
+            ["figure", "--m", "10001", "-o", str(out)],
+            ["figure", "--m=-10001", "-o", str(out)],
+        ]
+        for argv in requests:
+            assert run(argv + ["--json"]) == EXIT_DOMAIN
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "limit" in captured.err
+        assert not out.exists()
+
+    def test_size_limits_are_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CLASSES_TRACE", 5)
+        monkeypatch.setattr(cli, "MAX_FIGURE_M", 5)
+        assert run_json(capsys, ["classes", "-t", "-5"])["result"]["count"] == 2
+        assert run(["classes", "-t", "6"]) == EXIT_DOMAIN
+        run_json(capsys, ["figure", "--m", "5", "-o", str(tmp_path / "m5.svg")])
+        assert (tmp_path / "m5.svg").exists()
+        out = tmp_path / "m6.svg"
+        assert run(["figure", "--m", "6", "-o", str(out)]) == EXIT_DOMAIN
+        assert not out.exists()
         capsys.readouterr()
 
     def test_centralizer(self, capsys):

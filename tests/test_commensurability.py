@@ -10,6 +10,7 @@ from solvsplit import (
     classes_of_trace,
     has_power_with_trace,
     intertwiner,
+    power_trace,
     virtually_conjugate,
 )
 from solvsplit.errors import NotAnosov, NotSL2
@@ -107,6 +108,10 @@ class TestHasPowerWithTrace:
         assert has_power_with_trace(L, 7) == 2
         assert has_power_with_trace(L, -18) == 3
         assert has_power_with_trace(L, 18) is None
+
+    def test_long_power(self):
+        L3 = IntMatrix2(3, -1, 1, 0)
+        assert has_power_with_trace(L3, power_trace(3, 3000)) == 3000
 
     def test_small_targets_fail_fast(self):
         assert has_power_with_trace(A0, 2) is None

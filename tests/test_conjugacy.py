@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from solvsplit import (
+    IDENTITY,
     IntMatrix2,
     PrimitiveSlope,
     are_conjugate,
@@ -30,6 +31,7 @@ from _helpers import (
     random_sl2,
     unit_exists_brute,
     word_product,
+    words_of_trace,
 )
 
 MIRROR = IntMatrix2(1, 0, 0, -1)
@@ -195,6 +197,24 @@ class TestClassesOfTrace:
             reps = classes_of_trace(t)
             words = {cyclic_word(M) for M in reps}
             assert len(words) == len(reps)
+
+    def test_matches_word_oracle(self):
+        for t in range(3, 61):
+            expected = [word_product(w) for w in sorted(words_of_trace(t))]
+            assert classes_of_trace(t) == expected, f"trace {t}"
+            assert classes_of_trace(-t) == [-M for M in expected], f"trace {-t}"
+
+    def test_count_at_trace_1000(self):
+        assert len(classes_of_trace(1000)) == 216
+
+    def test_reduced_words_stop_the_reduction_at_once(self):
+        # every pair rotation of a class's word is a reduced matrix, the
+        # condition that ends the reduction and that enumeration lists
+        for t in range(3, 41):
+            for word in words_of_trace(t):
+                for i in range(0, len(word), 2):
+                    W = word_product(word[i:] + word[:i])
+                    assert _reduce_to_positive_word(W) == (W, IDENTITY), word
 
     def test_members_land_in_enumerated_classes(self):
         rng = random.Random(27)

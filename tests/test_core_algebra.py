@@ -20,6 +20,7 @@ from solvsplit import (
     power_trace,
     require_anosov,
 )
+from solvsplit.core_algebra import power_index
 from solvsplit.errors import NotAnosov, NotSL2, NotUnimodular, ParseError
 
 from _helpers import random_anosov, random_primitive, random_sl2
@@ -133,6 +134,15 @@ class TestPowers:
         assert [power_trace(3, n) for n in range(5)] == [2, 3, 7, 18, 47]
         assert all(power_trace(2, n) == 2 for n in range(8))
         assert power_trace(4, 2) == 14
+
+    def test_power_index(self):
+        assert [power_index(3, s) for s in (3, 7, 18, 47)] == [1, 2, 3, 4]
+        assert [power_index(-3, s) for s in (-3, 7, -18)] == [1, 2, 3]
+        for s in (-7, 0, 2, 10, 46, 48):
+            assert power_index(3, s) is None
+        assert power_index(4, power_trace(4, 500)) == 500
+        with pytest.raises(ValueError):
+            power_index(2, 2)
 
     def test_mat_pow_examples(self):
         L = IntMatrix2(3, -1, 1, 0)
