@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import centralizer as centralizer_mod
 from . import classification, commensurability, conjugacy, modular_geometry
@@ -25,7 +24,7 @@ from .core_algebra import (
 )
 from .errors import DomainError, ParseError, VerificationError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,10 +35,6 @@ EXIT_VERIFY = 4
 # linear in m, so both refuse larger values with a domain error
 MAX_CLASSES_TRACE = 10**4
 MAX_FIGURE_M = 10**4
-
-
-def _frac(f: Fraction) -> str:
-    return str(f)
 
 
 def _qi_doc(z: modular_geometry.QuadraticIrrational) -> dict:
@@ -60,11 +55,12 @@ def _emit(doc: dict, verification: list[tuple[str, bool]], mode: str, text_lines
     if failed:
         print(f"verification failed: {'; '.join(failed)}", file=sys.stderr)
         return EXIT_VERIFY
+    # render in full first, so a failure leaves stdout empty
     if mode == "json":
-        print(json.dumps(doc, indent=2))
+        out = json.dumps(doc, indent=2)
     else:
-        for line in text_lines():
-            print(line)
+        out = "\n".join(text_lines())
+    print(out)
     return EXIT_OK
 
 
@@ -132,7 +128,7 @@ def _cmd_classify(args) -> int:
             {
                 "kind": spine.kind,
                 "curves": [
-                    {"slope": format_slope(s), "level": _frac(level)}
+                    {"slope": format_slope(s), "level": str(level)}
                     for s, level in spine.curves
                 ],
                 "transported_curves": [
@@ -374,9 +370,9 @@ def _cmd_geodesic(args) -> int:
     doc = _doc("geodesic", {"matrix": format_matrix(L)})
     doc["result"] = {
         "endpoints": [_qi_doc(lo), _qi_doc(hi)],
-        "center": _frac(geo.center),
-        "radius_sq": _frac(geo.radius_sq),
-        "cosh_half_length": _frac(geo.cosh_half_length),
+        "center": str(geo.center),
+        "radius_sq": str(geo.radius_sq),
+        "cosh_half_length": str(geo.cosh_half_length),
         "translation_length": geo.translation_length,
         "hits_order2_cone": hits,
         "order2_points": cone,
@@ -404,7 +400,14 @@ def _cmd_figure(args) -> int:
     palette = None
     if args.palette:
         with open(args.palette, "r", encoding="utf-8") as fh:
-            palette = json.load(fh)
+            try:
+                palette = json.load(fh)
+            except ValueError:  # undecodable bytes or malformed JSON
+                palette = None
+        if not isinstance(palette, dict) or any(
+            not isinstance(v, str) for v in palette.values()
+        ):
+            raise ParseError("palette must be a UTF-8 JSON object with string values")
     svg = modular_geometry.render_figure(args.m, palette)
     arc = modular_geometry.alpha_arc(args.m)
     verification = [
@@ -417,11 +420,11 @@ def _cmd_figure(args) -> int:
         "m": args.m,
         "output": args.output,
         "alpha_endpoint_c0": {
-            "x": _frac(arc.endpoint_c0[0]),
+            "x": str(arc.endpoint_c0[0]),
             "y": _qi_doc(arc.endpoint_c0[1]),
         },
         "alpha_endpoint_cm": {
-            "x": _frac(arc.endpoint_cm[0]),
+            "x": str(arc.endpoint_cm[0]),
             "y": _qi_doc(arc.endpoint_cm[1]),
         },
         "c0_endpoint_position": arc.c0_endpoint_position,
@@ -551,6 +554,11 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 def main() -> None:

@@ -3,25 +3,25 @@
 Two Anosov monodromies lift to conjugate maps on a common finite cover of
 the torus exactly when their traces agree, and the witness is an integer
 matrix P with PA = BP and det(P) != 0: its image lattice has finite index
-|det P| and is invariant under B.
+|det P| and is invariant under B.  `intertwiner` returns one of least index,
+read off the canonical R/S word of a conjugate of B; the index is 1 exactly
+for GL(2,Z)-conjugate pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from typing import Optional
 
-from .conjugacy import are_conjugate
+from .conjugacy import least_form_vector
 from .core_algebra import IntMatrix2, power_index, require_anosov
 from .errors import VerificationError
 
 
 @dataclass(frozen=True)
 class Intertwiner:
-    """Primitive integer P with PA = BP and index |det P|."""
+    """Primitive integer P with PA = BP, of least index |det P|."""
 
     P: IntMatrix2
     index: int
@@ -36,87 +36,46 @@ class VirtualConjugacy:
         return self.virtually_conjugate
 
 
-def _rational_kernel(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the nullspace of an integer matrix."""
-    n = len(rows[0])
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -mat[row_idx][fc]
-        denom = math.lcm(*(x.denominator for x in vec))
-        ints = [int(x * denom) for x in vec]
-        g = math.gcd(*ints)
-        basis.append(tuple(x // g for x in ints))
-    return basis
+def _congruence_basis(alpha: int, beta: int, m: int) -> IntMatrix2:
+    """Columns spanning {(x, y) : alpha*x + beta*y = 0 mod m}, for m >= 1.
 
-
-_SEARCH_BOX = 10
+    With gcd(alpha, beta, m) divided out, h = gcd(beta, m) divides x, and
+    then y is fixed mod m/h by inverting beta/h.
+    """
+    g = math.gcd(alpha, beta, m)
+    alpha, beta, m = alpha // g, beta // g, m // g
+    h = math.gcd(beta, m)
+    n = m // h
+    return IntMatrix2(h, 0, -alpha * pow(beta // h, -1, n) % n, n)
 
 
 def intertwiner(A: IntMatrix2, B: IntMatrix2) -> Optional[Intertwiner]:
-    """Solve PA = BP exactly over the integers with det(P) != 0.
+    """A primitive integer P with PA = BP and the least index |det P|.
 
-    Returns None when the traces differ (no intertwiner exists then).  For
-    SL- or GL-conjugate pairs the conjugacy witness itself is returned, so
-    those pairs always get index 1.  Otherwise the nullspace of the linear
-    system is computed exactly and small integer combinations of its basis
-    are scanned for the least |det|; minimality beyond that bounded search
-    is not claimed.
+    None when the traces differ.  For A = [[a, b], [c, d]], PA = BP means
+    P = [w | (B - aI) w / c] (the second column holds by B^2 = tB - I), and
+    det P = det(w, Bw) / c = Q_B(w) / c.  The admissible w form the B-invariant
+    lattice G Z^2 = {w : (B - aI) w = 0 mod c}; for w = G x, P is primitive
+    iff x is, and det P = det G * Q_{B'}(x) / c with B' = G^-1 B G in SL(2,Z).
+    The index is 1 exactly for GL(2,Z)-conjugate pairs.
     """
     require_anosov(A, "A")
     require_anosov(B, "B")
     if A.trace() != B.trace():
         return None
-    conj = are_conjugate(A, B, "gl")
-    if conj.conjugate:
-        return _checked(A, B, conj.witness)
-    rows = [
-        [A.a - B.a, A.c, -B.b, 0],
-        [A.b, A.d - B.a, 0, -B.b],
-        [-B.c, 0, A.a - B.d, A.c],
-        [0, -B.c, A.b, A.d - B.d],
-    ]
-    basis = _rational_kernel(rows)
-    best: Optional[tuple[int, tuple[int, ...], IntMatrix2]] = None
-    for coeffs in product(range(-_SEARCH_BOX, _SEARCH_BOX + 1), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        entries = [
-            sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)
-        ]
-        P = IntMatrix2(*entries)
-        det = P.det()
-        if det == 0:
-            continue
-        g = math.gcd(*entries)
-        if g > 1:
-            P = IntMatrix2(*(x // g for x in entries))
-            det = P.det()
-        key = (abs(det), P.entries())
-        if best is None or key < best[:2]:
-            best = (abs(det), P.entries(), P)
-    if best is None:
-        return None
-    return _checked(A, B, best[2])
+    a, c = A.a, A.c
+    G = _congruence_basis(B.a - a, B.b, abs(c))
+    G = G @ _congruence_basis(
+        B.c * G.a + (B.d - a) * G.c, B.c * G.b + (B.d - a) * G.d, abs(c)
+    )
+    # the lattice is B-invariant, so B' = adj(G) B G / det G is integral
+    scaled = IntMatrix2(G.d, -G.b, -G.c, G.a) @ B @ G
+    B_prime = IntMatrix2(*(e // G.det() for e in scaled.entries()))
+    w0, w1 = G.apply_vec(least_form_vector(B_prime))
+    P = IntMatrix2(
+        w0, ((B.a - a) * w0 + B.b * w1) // c, w1, (B.c * w0 + (B.d - a) * w1) // c
+    )
+    return _checked(A, B, P)
 
 
 def _checked(A: IntMatrix2, B: IntMatrix2, P: IntMatrix2) -> Intertwiner:
@@ -133,10 +92,7 @@ def virtually_conjugate(A: IntMatrix2, B: IntMatrix2) -> VirtualConjugacy:
     require_anosov(B, "B")
     if A.trace() != B.trace():
         return VirtualConjugacy(False, None)
-    witness = intertwiner(A, B)
-    if witness is None:
-        raise VerificationError("equal traces must admit an intertwiner")
-    return VirtualConjugacy(True, witness)
+    return VirtualConjugacy(True, intertwiner(A, B))
 
 
 def has_power_with_trace(A: IntMatrix2, s: int) -> Optional[int]:

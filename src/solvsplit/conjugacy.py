@@ -294,6 +294,27 @@ def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
     return None
 
 
+def least_form_vector(L: IntMatrix2) -> tuple[int, int]:
+    """A primitive v with the least |Q_L(v)|, read off the canonical word.
+
+    |Q_L(T v)| = |Q_W(v)| as in `represent_unit`, and for each of the 2k block
+    prefixes V of the word, Q_W(V x) is the form of a block rotation, with
+    leading coefficients at x = e1, e2.  These are the reduced forms of the
+    cycle of Q_W (Latimer & MacDuffee, Ann. of Math. 34, 1933).  By Markov the
+    least |Q| at discriminant D = t^2 - 4 is at most sqrt(D/5) < sqrt(D)/2,
+    and by Lagrange a primitive value below sqrt(D)/2 in size leads a reduced
+    form of the cycle; so the first strict minimum over these columns is least.
+    """
+    _, word, T = _canonical_data(L)
+    form = monodromy_form(word.matrix())
+    columns = []
+    V = IDENTITY
+    for i, e in enumerate(word.exponents):
+        columns += [(V.a, V.c), (V.b, V.d)]
+        V = V @ _mat_gen_pow(R if i % 2 == 0 else S, e)
+    return T.apply_vec(min(columns, key=lambda v: abs(form.evaluate(*v))))
+
+
 def _checked_unit(L: IntMatrix2, v: tuple[int, int], value: int) -> UnitWitness:
     curve = PrimitiveSlope(*v)
     actual = monodromy_form(L).evaluate(*v)

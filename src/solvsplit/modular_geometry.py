@@ -16,6 +16,7 @@ from typing import Optional, Union
 from .centralizer import is_reversible
 from .core_algebra import IntMatrix2, require_anosov
 from .errors import (
+    DomainError,
     NotUpperHalfPlane,
     TraceTooSmall,
     VerificationError,
@@ -177,7 +178,22 @@ class QuadraticIrrational:
         return hash((self.p, self.q, self.r, self.disc))
 
     def __float__(self) -> float:
-        return (self.p + self.q * math.sqrt(self.disc)) / self.r
+        try:
+            value = (self.p + self.q * math.sqrt(self.disc)) / self.r
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        # an operand left float range.  |p + q sqrt(disc)| > 2^(63-k) since
+        # p^2 - q^2 disc is a nonzero integer when q != 0, so the isqrt floor
+        # of the numerator scaled by 2^k is within 2^-63 relative
+        q2d = self.q * self.q * self.disc
+        k = max(abs(self.p).bit_length(), q2d.bit_length()) + 64
+        root = math.isqrt(q2d << 2 * k) * (1 if self.q > 0 else -1)
+        try:
+            return ((self.p << k) + root) / (self.r << k)
+        except OverflowError:
+            raise DomainError("quadratic irrational outside float range") from None
 
     def __str__(self) -> str:
         return f"({self.p} + {self.q}*sqrt({self.disc}))/{self.r}"
@@ -212,7 +228,11 @@ def axis(A: IntMatrix2) -> Geodesic:
     plus = QuadraticIrrational(A.a - A.d, 1, 2 * A.c, d)
     minus = QuadraticIrrational(A.a - A.d, -1, 2 * A.c, d)
     lo, hi = (minus, plus) if minus < plus else (plus, minus)
-    length = 2.0 * math.acosh(abs(t) / 2.0)
+    try:
+        length = 2.0 * math.acosh(abs(t) / 2.0)
+    except OverflowError:
+        # acosh(x) = log(2x) - O(x^-2), and math.log takes ints of any size
+        length = 2.0 * math.log(abs(t))
     return Geodesic(
         endpoints=(lo, hi),
         center=Fraction(A.a - A.d, 2 * A.c),
@@ -231,34 +251,14 @@ def in_fundamental_domain(z: tuple[Exact, Exact]) -> str:
     x, y = z
     if not isinstance(x, (int, Fraction, QuadraticIrrational)):
         raise TypeError(f"coordinates must be exact, got {type(x)}")
-    if _exact_sign(y) <= 0:
+    if not y > 0:
         raise NotUpperHalfPlane(f"y = {y} is not positive")
-    norm = x * x + y * y
-    abs_x_cmp = _exact_cmp_abs_half(x)
-    norm_cmp = _exact_cmp(norm, 1)
-    if abs_x_cmp > 0 or norm_cmp < 0:
+    abs_x, norm, half = (x if x >= 0 else -x), x * x + y * y, Fraction(1, 2)
+    if abs_x > half or norm < 1:
         return "outside"
-    if abs_x_cmp == 0 or norm_cmp == 0:
+    if abs_x == half or norm == 1:
         return "boundary"
     return "interior"
-
-
-def _exact_sign(v: Exact) -> int:
-    if isinstance(v, QuadraticIrrational):
-        return v.sign()
-    f = Fraction(v)
-    return (f > 0) - (f < 0)
-
-
-def _exact_cmp(a: Exact, b: Exact) -> int:
-    return _exact_sign(a - b)
-
-
-def _exact_cmp_abs_half(x: Exact) -> int:
-    half = Fraction(1, 2)
-    if _exact_sign(x) >= 0:
-        return _exact_cmp(x, half)
-    return _exact_cmp(-x, half)
 
 
 @dataclass(frozen=True)

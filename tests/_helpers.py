@@ -69,6 +69,31 @@ def words_of_trace(t: int) -> set[tuple[int, ...]]:
     return found
 
 
+def least_intertwiner_index(A, B, box: int) -> int:
+    """Least |det P| over integer P with PA = BP and P e1 in the box.
+
+    Plain tuple arithmetic, no library calls.  The first column of PA = BP
+    reads a*w + c*u = B w for w = P e1 and u = P e2, so u = (B w - a*w) / c
+    is fixed by w; each w with integral u is kept when P then passes the
+    full check PA = BP.  w and -w give the same |det|.
+    """
+    a, b, c, d = A.a, A.b, A.c, A.d
+    e, f, g, h = B.a, B.b, B.c, B.d
+    best = None
+    for x in range(-box, box + 1):
+        for y in range(0, box + 1):
+            u0, u1 = (e - a) * x + f * y, g * x + (h - a) * y
+            if (y == 0 and x <= 0) or u0 % c or u1 % c:
+                continue
+            u0, u1 = u0 // c, u1 // c
+            PA = (x * a + u0 * c, x * b + u0 * d, y * a + u1 * c, y * b + u1 * d)
+            BP = (e * x + f * y, e * u0 + f * u1, g * x + h * y, g * u0 + h * u1)
+            det = abs(x * u1 - y * u0)
+            if PA == BP and det and (best is None or det < best):
+                best = det
+    return best
+
+
 def long_conjugator(rng, bits: int) -> IntMatrix2:
     """Random SL(2,Z) word whose largest entry has at least `bits` bits."""
     K = IDENTITY

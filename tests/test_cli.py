@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from solvsplit import cli, parse_matrix
+from solvsplit import IntMatrix2, QuadraticIrrational, cli, format_matrix, parse_matrix
 from solvsplit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, _emit, run
+
+from _helpers import long_conjugator
 
 
 def run_json(capsys, argv):
@@ -16,7 +25,7 @@ def run_json(capsys, argv):
 class TestClassifyCommand:
     def test_figure_eight_json(self, capsys):
         doc = run_json(capsys, ["classify", "-m", "2,1;1,1"])
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
         result = doc["result"]
         assert result["genus"] == 2
         assert result["irreducible_splitting_count"] == 2
@@ -163,6 +172,47 @@ class TestOtherCommands:
         )
         assert "#123456" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "content", [b"not json", b"[1,2]", b'{"alpha": 1}'], ids=["text", "list", "int"]
+    )
+    def test_figure_bad_palette_is_parse_error(self, capsys, tmp_path, content):
+        palette = tmp_path / "palette.json"
+        palette.write_bytes(content)
+        out = tmp_path / "m5.svg"
+        code = run(["figure", "--m", "5", "-o", str(out), "--palette", str(palette)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert "palette" in captured.err
+        assert not out.exists()
+
+    def test_geodesic_3000_bit_entries(self, capsys):
+        K = long_conjugator(random.Random(61), 1500)
+        M = K @ IntMatrix2(5, 2, 2, 1) @ K.inverse()
+        assert max(abs(e) for e in M.entries()).bit_length() > 2900
+        assert run(["geodesic", "-m", format_matrix(M), "--text"]) == EXIT_OK
+        assert "endpoints" in capsys.readouterr().out
+        doc = run_json(capsys, ["geodesic", "-m", format_matrix(M)])
+        approx = []
+        for entry in doc["result"]["endpoints"]:
+            z = QuadraticIrrational(entry["p"], entry["q"], entry["r"], entry["disc"])
+            x = entry["approx"]
+            assert math.isfinite(x)
+            bound = (z if z > 0 else -z) * Fraction(1, 2**40)
+            assert -bound <= z - Fraction(x) <= bound
+            approx.append(x)
+        assert approx[0] <= approx[1]
+
+    @pytest.mark.parametrize("mode", ["--json", "--text"])
+    def test_unprintable_integer_is_domain_error(self, capsys, mode):
+        # disc = 4t^2 - 4 has 8001 digits, past the interpreter's print limit
+        t = 10**4000
+        code = run(["geodesic", "-m", f"{t},{t - 1};{t + 1},{t}", mode])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert captured.out == ""
+        assert "domain error" in captured.err
+
 
 class TestCliContract:
     def test_unknown_command_exits_2(self, capsys):
@@ -193,3 +243,97 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err != ""
+
+
+def _conjugated(base: IntMatrix2, n: int, k: int) -> IntMatrix2:
+    K = IntMatrix2(1, n, 0, 1) @ IntMatrix2(1, 0, k, 1)
+    return K @ base @ K.inverse()
+
+
+def _huge(max_digits: int):
+    """Integers +-(10^d + u) with d up to max_digits."""
+    return st.builds(
+        lambda d, sign, u: sign * 10**d + u,
+        st.integers(0, max_digits),
+        st.sampled_from([1, -1]),
+        st.integers(-9, 9),
+    )
+
+
+_entries = st.one_of(st.integers(-50, 50), _huge(4000))
+_big_sl2 = st.one_of(
+    st.builds(lambda t: f"{t},-1;1,0", _entries),
+    st.builds(lambda t: f"{t},{t - 1};{t + 1},{t}", _entries),
+    st.builds(
+        lambda base, n, k: format_matrix(_conjugated(base, n, k)),
+        st.sampled_from(
+            [IntMatrix2(2, 1, 1, 1), IntMatrix2(5, 2, 2, 1), IntMatrix2(-4, 1, -1, 0)]
+        ),
+        _huge(900),
+        st.integers(-10**6, 10**6),
+    ),
+)
+_matrix_text = st.one_of(
+    _big_sl2,
+    st.builds(lambda *e: "{},{};{},{}".format(*e), *[_entries] * 4),
+    st.text(alphabet="0123456789-,; x/", max_size=12),
+    st.text(max_size=8),
+)
+_mode = st.sampled_from(["--json", "--text"])
+_palettes = {
+    "ok": b'{"alpha": "#123456"}',
+    "not_json": b"not json",
+    "list": b"[1,2]",
+    "number_value": b'{"alpha": 1}',
+    "not_utf8": b'{"alpha": "\xff"}',
+}
+
+
+def _argv(data, tmp_path):
+    command = data.draw(
+        st.sampled_from(
+            ["classify", "conjugate", "classes", "centralizer",
+             "commensurable", "geodesic", "figure"]
+        )
+    )
+    if command in ("classify", "centralizer", "geodesic"):
+        args = ["-m", data.draw(_matrix_text)]
+    elif command in ("conjugate", "commensurable"):
+        args = ["-A", data.draw(_matrix_text), "-B", data.draw(_matrix_text)]
+        if command == "conjugate":
+            args += ["--group", data.draw(st.sampled_from(["sl", "gl", "xl"]))]
+    elif command == "classes":
+        args = ["-t", str(data.draw(st.one_of(st.integers(-40, 40), _entries)))]
+    else:
+        m = data.draw(st.one_of(st.integers(-12, 12), _entries))
+        out = data.draw(
+            st.sampled_from(
+                [tmp_path / "f.svg", tmp_path / "missing" / "f.svg", tmp_path]
+            )
+        )
+        args = ["--m", str(m), "-o", str(out)]
+        palette = data.draw(st.sampled_from([None, "absent", *_palettes]))
+        if palette is not None:
+            path = tmp_path / f"palette_{palette}.json"
+            if palette != "absent":
+                path.write_bytes(_palettes[palette])
+            args += ["--palette", str(path)]
+    return [command, *args, data.draw(_mode)]
+
+
+class TestCliFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_exit_codes_and_empty_stdout_on_failure(self, data, tmp_path):
+        argv = _argv(data, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_VERIFY), err.getvalue()
+        if code != EXIT_OK:
+            assert out.getvalue() == ""

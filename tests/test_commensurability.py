@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -13,9 +13,16 @@ from solvsplit import (
     power_trace,
     virtually_conjugate,
 )
+from solvsplit.conjugacy import least_form_vector
+from solvsplit.core_algebra import monodromy_form
 from solvsplit.errors import NotAnosov, NotSL2
 
-from _helpers import random_anosov
+from _helpers import (
+    least_intertwiner_index,
+    long_conjugator,
+    random_anosov,
+    random_sl2,
+)
 
 A0 = IntMatrix2(2, 1, 1, 1)
 B0 = IntMatrix2(3, -1, 1, 0)
@@ -77,11 +84,63 @@ class TestIntertwiner:
             assert are_conjugate(A, B).conjugate
             assert intertwiner(A, B).index == 1
 
+    def test_index_is_least_on_class_pairs(self):
+        for t in [*range(3, 31), *range(-30, -2)]:
+            for A, B in combinations_with_replacement(classes_of_trace(t), 2):
+                assert intertwiner(A, B).index == least_intertwiner_index(A, B, 30)
+
+    def test_pinned_trace_40_pair(self):
+        # a 21x21 box of kernel combinations reported 15 here
+        A, B = IntMatrix2(33, 10, 23, 7), IntMatrix2(35, 6, 29, 5)
+        assert intertwiner(A, B).index == 5 == least_intertwiner_index(A, B, 40)
+
+    def test_index_is_conjugation_invariant(self):
+        rng = random.Random(55)
+        for _ in range(12):
+            t = rng.randint(5, 40)
+            A, B = (rng.choice(classes_of_trace(t)) for _ in range(2))
+            K, J = long_conjugator(rng, 250), long_conjugator(rng, 250)
+            A2, B2 = K @ A @ K.inverse(), J @ B @ J.inverse()
+            assert max(abs(e) for e in A2.entries()).bit_length() > 450
+            w = intertwiner(A2, B2)
+            assert w.P @ A2 == B2 @ w.P
+            assert w.index == intertwiner(A, B).index
+
+    def test_index_one_exactly_for_gl_conjugate_pairs(self):
+        rng = random.Random(56)
+        ones = 0
+        for _ in range(120):
+            A = random_anosov(rng, max_trace=12)
+            t = A.trace()
+            K = random_sl2(rng)
+            B = K @ rng.choice(classes_of_trace(t)) @ K.inverse()
+            gl = are_conjugate(A, B, "gl").conjugate
+            assert (intertwiner(A, B).index == 1) == gl
+            ones += gl
+        assert 0 < ones < 120
+
     def test_rejects_bad_input(self):
         with pytest.raises(NotSL2):
             intertwiner(IntMatrix2(1, 0, 0, -1), B0)
         with pytest.raises(NotAnosov):
             intertwiner(IntMatrix2(1, 1, 0, 1), B0)
+
+
+class TestLeastFormVector:
+    def test_least_value_against_box(self):
+        rng = random.Random(57)
+        for _ in range(60):
+            L = random_anosov(rng, max_trace=30, conj_factors=3)
+            form = monodromy_form(L)
+            v = least_form_vector(L)
+            assert math.gcd(*v) == 1
+            least = min(
+                abs(form.evaluate(p, q))
+                for p in range(-40, 41)
+                for q in range(0, 41)
+                if math.gcd(p, q) == 1
+            )
+            assert abs(form.evaluate(*v)) == least
 
 
 class TestVirtuallyConjugate:

@@ -17,6 +17,7 @@ from solvsplit import (
     render_figure,
 )
 from solvsplit.errors import (
+    DomainError,
     NotAnosov,
     NotUpperHalfPlane,
     TraceTooSmall,
@@ -65,6 +66,14 @@ class TestQuadraticIrrational:
     def test_float_approximation(self):
         assert abs(float(qi(1, 1, 2, 5)) - (1 + math.sqrt(5)) / 2) < 1e-12
 
+    def test_float_with_operands_beyond_float_range(self):
+        # sqrt(2^2200 + 2^1050) - 2^1100 = 2^-51 (1 - O(2^-1150)): the
+        # operands overflow a float and nearly cancel
+        assert float(qi(-(2**1100), 1, 1, 2**2200 + 2**1050)) == 2.0**-51
+        assert float(qi(3 * 2**1100, 1, 2**1100, 5)) == 3.0
+        with pytest.raises(DomainError):
+            float(qi(2**1100, 1, 1, 5))
+
 
 class TestAxis:
     def test_standard_form_m3(self):
@@ -101,6 +110,10 @@ class TestAxis:
             geo = axis(IntMatrix2(t, -1, 1, 0))
             lam = (t + math.sqrt(t * t - 4)) / 2
             assert abs(geo.translation_length - 2 * math.log(lam)) <= 1e-12
+
+    def test_translation_length_beyond_float_range(self):
+        geo = axis(IntMatrix2(2**1100, -1, 1, 0))
+        assert abs(geo.translation_length - 2200 * math.log(2)) <= 1e-12
 
     def test_rejects_non_anosov(self):
         with pytest.raises(NotAnosov):
