@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import centralizer as centralizer_mod
 from . import classification, commensurability, conjugacy, modular_geometry
@@ -21,6 +22,7 @@ from .core_algebra import (
     mat_pow,
     monodromy_form,
     parse_matrix,
+    require_printable,
 )
 from .errors import DomainError, ParseError, VerificationError
 
@@ -35,6 +37,20 @@ EXIT_VERIFY = 4
 # linear in m, so both refuse larger values with a domain error
 MAX_CLASSES_TRACE = 10**4
 MAX_FIGURE_M = 10**4
+
+
+def _ints(node):
+    """Every int in a document of dicts, lists and scalars."""
+    if isinstance(node, (dict, list)):
+        for item in node.values() if isinstance(node, dict) else node:
+            yield from _ints(item)
+    elif isinstance(node, int):
+        yield node
+
+
+def _frac(f: Fraction) -> str:
+    require_printable(f.numerator, f.denominator)
+    return str(f)
 
 
 def _qi_doc(z: modular_geometry.QuadraticIrrational) -> dict:
@@ -55,6 +71,7 @@ def _emit(doc: dict, verification: list[tuple[str, bool]], mode: str, text_lines
     if failed:
         print(f"verification failed: {'; '.join(failed)}", file=sys.stderr)
         return EXIT_VERIFY
+    require_printable(*_ints(doc))
     # render in full first, so a failure leaves stdout empty
     if mode == "json":
         out = json.dumps(doc, indent=2)
@@ -128,7 +145,7 @@ def _cmd_classify(args) -> int:
             {
                 "kind": spine.kind,
                 "curves": [
-                    {"slope": format_slope(s), "level": str(level)}
+                    {"slope": format_slope(s), "level": _frac(level)}
                     for s, level in spine.curves
                 ],
                 "transported_curves": [
@@ -370,9 +387,9 @@ def _cmd_geodesic(args) -> int:
     doc = _doc("geodesic", {"matrix": format_matrix(L)})
     doc["result"] = {
         "endpoints": [_qi_doc(lo), _qi_doc(hi)],
-        "center": str(geo.center),
-        "radius_sq": str(geo.radius_sq),
-        "cosh_half_length": str(geo.cosh_half_length),
+        "center": _frac(geo.center),
+        "radius_sq": _frac(geo.radius_sq),
+        "cosh_half_length": _frac(geo.cosh_half_length),
         "translation_length": geo.translation_length,
         "hits_order2_cone": hits,
         "order2_points": cone,
@@ -420,11 +437,11 @@ def _cmd_figure(args) -> int:
         "m": args.m,
         "output": args.output,
         "alpha_endpoint_c0": {
-            "x": str(arc.endpoint_c0[0]),
+            "x": _frac(arc.endpoint_c0[0]),
             "y": _qi_doc(arc.endpoint_c0[1]),
         },
         "alpha_endpoint_cm": {
-            "x": str(arc.endpoint_cm[0]),
+            "x": _frac(arc.endpoint_cm[0]),
             "y": _qi_doc(arc.endpoint_cm[1]),
         },
         "c0_endpoint_position": arc.c0_endpoint_position,
@@ -554,11 +571,6 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
-        if "integer string conversion" not in str(exc):
-            raise
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 def main() -> None:

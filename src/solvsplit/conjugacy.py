@@ -306,12 +306,12 @@ def least_form_vector(L: IntMatrix2) -> tuple[int, int]:
     form of the cycle; so the first strict minimum over these columns is least.
     """
     _, word, T = _canonical_data(L)
-    form = monodromy_form(word.matrix())
     columns = []
     V = IDENTITY
     for i, e in enumerate(word.exponents):
         columns += [(V.a, V.c), (V.b, V.d)]
         V = V @ _mat_gen_pow(R if i % 2 == 0 else S, e)
+    form = monodromy_form(V)  # the full prefix is the word's matrix
     return T.apply_vec(min(columns, key=lambda v: abs(form.evaluate(*v))))
 
 

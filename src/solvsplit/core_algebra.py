@@ -8,10 +8,11 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotAnosov, NotSL2, NotUnimodular, ParseError
+from .errors import DomainError, NotAnosov, NotSL2, NotUnimodular, ParseError
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def apply(L: IntMatrix2, c: PrimitiveSlope) -> PrimitiveSlope:
     again a valid slope.
     """
     if not L.is_unimodular():
-        raise NotUnimodular(f"det {L.det()}, slope image would not be primitive")
+        raise NotUnimodular(f"det {_det_text(L)}, slope image would not be primitive")
     x, y = L.apply_vec(c.vector())
     return PrimitiveSlope(x, y)
 
@@ -150,21 +151,21 @@ def monodromy_form(L: IntMatrix2) -> MonodromyForm:
     intersection_number(v, apply(L, v)) equals |Q_L(v)|.
     """
     if not L.is_sl2():
-        raise NotSL2(f"det {L.det()} != 1")
+        raise NotSL2(f"det {_det_text(L)} != 1")
     return MonodromyForm(L.c, L.d - L.a, -L.b)
 
 
 def is_anosov(L: IntMatrix2) -> bool:
     """True iff |trace| > 2, i.e. the torus map fixes no slope."""
     if not L.is_sl2():
-        raise NotSL2(f"det {L.det()} != 1")
+        raise NotSL2(f"det {_det_text(L)} != 1")
     return abs(L.trace()) > 2
 
 
 def require_anosov(M: IntMatrix2, name: str = "matrix") -> None:
     """Raise NotSL2 or NotAnosov unless M is an Anosov element of SL(2,Z)."""
     if not M.is_sl2():
-        raise NotSL2(f"{name} has det {M.det()} != 1")
+        raise NotSL2(f"{name} has det {_det_text(M)} != 1")
     if abs(M.trace()) <= 2:
         raise NotAnosov(f"{name} has trace {M.trace()}, not Anosov")
 
@@ -246,6 +247,25 @@ def parse_matrix(text: str) -> IntMatrix2:
             raise ParseError(f"expected 2 comma-separated entries in row {row!r}")
         entries.extend(_parse_int(col) for col in cols)
     return IntMatrix2(*entries)
+
+
+def printable(n: int) -> bool:
+    """True iff str(n) is allowed: at most sys.get_int_max_str_digits() digits."""
+    limit = sys.get_int_max_str_digits()
+    # 10^limit > 2^(3 limit), so an int of at most 3 limit bits always prints
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
+def require_printable(*values: int) -> None:
+    """Raise DomainError where str() would refuse an int for its length."""
+    if not all(map(printable, values)):
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"an integer is past the {limit}-digit print limit")
+
+
+def _det_text(M: IntMatrix2) -> str:
+    det = M.det()
+    return str(det) if printable(det) else f"of {det.bit_length()} bits"
 
 
 def format_matrix(M: IntMatrix2) -> str:

@@ -178,20 +178,22 @@ class QuadraticIrrational:
         return hash((self.p, self.q, self.r, self.disc))
 
     def __float__(self) -> float:
-        try:
-            value = (self.p + self.q * math.sqrt(self.disc)) / self.r
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-        # an operand left float range.  |p + q sqrt(disc)| > 2^(63-k) since
-        # p^2 - q^2 disc is a nonzero integer when q != 0, so the isqrt floor
-        # of the numerator scaled by 2^k is within 2^-63 relative
+        """The correctly rounded value; DomainError outside float range.
+
+        For q != 0, (p + q sqrt(disc)) 2^k lies strictly between n and n + 1,
+        so the value rounds as n / (r 2^k) once (n + 1) / (r 2^k) rounds alike;
+        an irrational is never a tie, so growing k ends the loop.
+        """
         q2d = self.q * self.q * self.disc
         k = max(abs(self.p).bit_length(), q2d.bit_length()) + 64
-        root = math.isqrt(q2d << 2 * k) * (1 if self.q > 0 else -1)
         try:
-            return ((self.p << k) + root) / (self.r << k)
+            while True:
+                root = math.isqrt(q2d << 2 * k)
+                n = (self.p << k) + (root if self.q >= 0 else -root - 1)
+                value = n / (self.r << k)
+                if self.q == 0 or value == (n + 1) / (self.r << k):
+                    return value
+                k += 64
         except OverflowError:
             raise DomainError("quadratic irrational outside float range") from None
 
@@ -251,14 +253,34 @@ def in_fundamental_domain(z: tuple[Exact, Exact]) -> str:
     x, y = z
     if not isinstance(x, (int, Fraction, QuadraticIrrational)):
         raise TypeError(f"coordinates must be exact, got {type(x)}")
-    if not y > 0:
+    if _exact_sign(y) <= 0:
         raise NotUpperHalfPlane(f"y = {y} is not positive")
-    abs_x, norm, half = (x if x >= 0 else -x), x * x + y * y, Fraction(1, 2)
-    if abs_x > half or norm < 1:
+    norm = x * x + y * y
+    abs_x_cmp = _exact_cmp_abs_half(x)
+    norm_cmp = _exact_cmp(norm, 1)
+    if abs_x_cmp > 0 or norm_cmp < 0:
         return "outside"
-    if abs_x == half or norm == 1:
+    if abs_x_cmp == 0 or norm_cmp == 0:
         return "boundary"
     return "interior"
+
+
+def _exact_sign(v: Exact) -> int:
+    if isinstance(v, QuadraticIrrational):
+        return v.sign()
+    f = Fraction(v)
+    return (f > 0) - (f < 0)
+
+
+def _exact_cmp(a: Exact, b: Exact) -> int:
+    return _exact_sign(a - b)
+
+
+def _exact_cmp_abs_half(x: Exact) -> int:
+    half = Fraction(1, 2)
+    if _exact_sign(x) >= 0:
+        return _exact_cmp(x, half)
+    return _exact_cmp(-x, half)
 
 
 @dataclass(frozen=True)

@@ -204,14 +204,44 @@ class TestOtherCommands:
         assert approx[0] <= approx[1]
 
     @pytest.mark.parametrize("mode", ["--json", "--text"])
-    def test_unprintable_integer_is_domain_error(self, capsys, mode):
-        # disc = 4t^2 - 4 has 8001 digits, past the interpreter's print limit
-        t = 10**4000
-        code = run(["geodesic", "-m", f"{t},{t - 1};{t + 1},{t}", mode])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # disc = 4t^2 - 4 has 8001 digits, past the interpreter's print limit
+            f"{10**4000},{10**4000 - 1};{10**4000 + 1},{10**4000}",
+            # radius^2 = 21 / (4 c^2) with a 2201-digit c
+            format_matrix(
+                IntMatrix2(1, 0, 10**1100, 1)
+                @ IntMatrix2(5, 2, 2, 1)
+                @ IntMatrix2(1, 0, -(10**1100), 1)
+            ),
+        ],
+        ids=["disc", "radius_sq"],
+    )
+    def test_unprintable_integer_is_domain_error(self, capsys, mode, matrix):
+        code = run(["geodesic", "-m", matrix, mode])
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN
         assert captured.out == ""
         assert "domain error" in captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "commensurable", "geodesic"])
+    def test_unprintable_trace_is_domain_error(self, capsys, command):
+        # 4300-digit entries whose trace has 4301 digits
+        a = 9 * 10**4299
+        M = f"{a},{a - 1};{a + 1},{a}"
+        argv = ["-A", M, "-B", M] if command == "commensurable" else ["-m", M]
+        assert run([command, *argv]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "print limit" in captured.err
+
+    def test_unprintable_determinant_in_message(self, capsys):
+        a = 10**4299
+        assert run(["classify", "-m", f"{a},{a};{-a},{a}"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has det of 28563 bits != 1" in captured.err
 
 
 class TestCliContract:

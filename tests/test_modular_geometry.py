@@ -73,6 +73,35 @@ class TestQuadraticIrrational:
         assert float(qi(3 * 2**1100, 1, 2**1100, 5)) == 3.0
         with pytest.raises(DomainError):
             float(qi(2**1100, 1, 1, 5))
+        # (10^20 - sqrt(10^40 - 4)) / 2 = 10^-20 (1 + O(10^-40)): the float
+        # expression cancels to 0.0
+        assert float(qi(10**20, -1, 2, 10**40 - 4)) == 1e-20
+
+    def test_float_is_correctly_rounded(self):
+        rng = random.Random(17)
+        # each lies so close to a rounding tie that the first scale 2^k
+        # leaves two candidate floats
+        cases = [
+            qi(2, -1, 7213, 3),
+            qi(2, -1, 27809, 3),
+            qi(3, -1, 36343, 8),
+            qi(-1, 1, 1489, 2),
+            qi(5, -2, 19143, 6),
+        ]
+        for _ in range(2000):
+            t = rng.randint(3, 10 ** rng.randint(1, 30))
+            p = rng.randint(-(10**15), 10**15)
+            r = rng.randint(1, 10 ** rng.randint(1, 15))
+            cases.append(qi(p, rng.choice([1, -1]), r, t * t - 4))
+        for z in cases:
+            x = float(z)
+
+            def distance(y):
+                diff = z - Fraction(y)
+                return diff if diff >= 0 else -diff
+
+            for y in (math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
+                assert distance(y) > distance(x)
 
 
 class TestAxis:
@@ -90,7 +119,9 @@ class TestAxis:
         lo, hi = geo.endpoints
         # endpoints 2 -+ sqrt(3), carried with disc trace^2 - 4 = 12
         assert lo == qi(4, -1, 2, 12) and hi == qi(4, 1, 2, 12)
-        assert float(lo) == float(2 - math.sqrt(3))
+        # 2 - sqrt(3) = 0.26794919243112270647..., correctly rounded (the
+        # float expression 2 - math.sqrt(3) lands two ulps above)
+        assert float(lo) == 0.2679491924311227
         assert geo.center == 2 and geo.radius_sq == 3
 
     def test_endpoint_product_is_one_for_standard_forms(self):
