@@ -1,0 +1,152 @@
+"""Every CLI document stays byte-identical to the committed golden corpus.
+
+`cli_golden.json` holds one entry per request and output mode (`--json`,
+`--text`): the exit code, the sha256 of stdout and, for `figure`, the sha256
+of the SVG it writes.  The requests cover all seven subcommands, with
+reversible inputs, mirror-conjugate pairs under `--group gl`, the centralizer
+at m = +-3 .. +-7, error exits and inputs with long entries.  A change that
+alters printed output on purpose bumps `schema_version` and rewrites the file
+with `PYTHONPATH=src python tests/test_cli_golden.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from solvsplit import IntMatrix2, classes_of_trace, format_matrix
+from solvsplit.cli import run
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+COMMANDS = (
+    "classify", "conjugate", "classes", "centralizer", "commensurable", "geodesic", "figure",
+)
+SVG = "axis.svg"  # figure output, relative to the working directory
+
+
+def outcome(argv: list[str]) -> dict:
+    """Exit code and output hashes of one in-process run, in the current directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    entry = {"argv": argv, "exit": code, "stdout_sha256": _sha(out.getvalue().encode())}
+    if argv[0] == "figure" and code == 0:
+        entry["svg_sha256"] = _sha(Path(SVG).read_bytes())
+        os.remove(SVG)
+    return entry
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_output_matches_golden_corpus(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    entries = [e for e in json.loads(GOLDEN.read_text()) if e["argv"][0] == command]
+    assert entries
+    changed = [e["argv"] for e in entries if outcome(e["argv"]) != e]
+    assert not changed, f"{len(changed)} of {len(entries)} documents changed: {changed[:5]}"
+
+
+def test_corpus_covers_every_mode_of_every_request():
+    entries = json.loads(GOLDEN.read_text())
+    assert {e["argv"][0] for e in entries} == set(COMMANDS)
+    requests = {tuple(e["argv"][:-1]) for e in entries}
+    assert {tuple(e["argv"]) for e in entries} == {
+        r + (mode,) for r in requests for mode in ("--json", "--text")
+    }
+
+
+# -- the requests, built once when the corpus is written ----------------------
+
+
+def _mirror(M: IntMatrix2) -> IntMatrix2:
+    return IntMatrix2(M.a, -M.b, -M.c, M.d)  # diag(1, -1) M diag(1, -1)
+
+
+def requests() -> list[list[str]]:
+    from _helpers import long_conjugator, random_sl2
+
+    rng = random.Random(20261018)
+
+    def conj(M, K=None):
+        K = K or random_sl2(rng)
+        return format_matrix(K @ M @ K.inverse())
+
+    out = []
+    for t in list(range(3, 13)) + list(range(-8, -2)):
+        reps = classes_of_trace(t)
+        for i, M in enumerate(reps):
+            other = reps[(i + 1) % len(reps)]
+            out += [
+                ["classify", "-m", conj(M)],
+                ["geodesic", "-m", conj(M)],
+                ["conjugate", "-A", conj(M), "-B", conj(M.inverse())],
+                ["conjugate", "-A", conj(M), "-B", conj(_mirror(M))],
+                ["conjugate", "-A", conj(M), "-B", conj(_mirror(M)), "--group", "gl"],
+                ["conjugate", "-A", conj(M), "-B", conj(other), "--group", "gl"],
+                ["commensurable", "-A", conj(M), "-B", conj(other)],
+            ]
+    for m in (3, 4, 5, 6, 7):
+        for s in (m, -m):
+            L = IntMatrix2(s, -1, 1, 0)
+            out += [
+                ["centralizer", "-m", format_matrix(L)],
+                ["figure", "--m", str(s), "-o", SVG],
+                ["geodesic", "-m", format_matrix(L)],
+                ["classify", "-m", format_matrix(L)],
+            ]
+    for t in list(range(3, 11)) + [-3, -4, -7, 30, 2, 0]:
+        out.append(["classes", "-t", str(t)])
+    for text in ("5,2;2,1", "2,1;1,1", "1,2;2,5", "-5,-2;-2,-1"):
+        M = IntMatrix2(*(int(e) for e in text.replace(";", ",").split(",")))
+        K = long_conjugator(rng, 300)
+        out += [
+            ["centralizer", "-m", text],
+            ["classify", "-m", text],
+            ["geodesic", "-m", text],
+            ["classify", "-m", conj(M, K)],
+            ["geodesic", "-m", conj(M, K)],
+            ["conjugate", "-A", text, "-B", conj(M.inverse(), K)],
+            ["conjugate", "-A", text, "-B", conj(_mirror(M), K), "--group", "gl"],
+            ["commensurable", "-A", text, "-B", conj(M, K)],
+        ]
+    out += [
+        ["classify", "-m", "2,1;1"],
+        ["classify", "-m", "1,1;0,1"],
+        ["classify", "-m", "2,0;0,1"],
+        ["conjugate", "-A", "2,1;1,1", "-B", "4,-1;1,0", "--group", "gl"],
+        ["commensurable", "-A", "2,1;1,1", "-B", "4,-1;1,0"],
+        ["centralizer", "-m", "2,-1;1,0"],
+        ["geodesic", "-m", "1,0;0,1"],
+        ["figure", "--m", "2", "-o", SVG],
+    ]
+    return out
+
+
+def write_corpus() -> None:
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in requests():
+                for mode in ("--json", "--text"):
+                    entries.append(outcome(argv + [mode]))
+        finally:
+            os.chdir(cwd)
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    print(f"wrote {len(entries)} documents to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    write_corpus()
