@@ -1,10 +1,12 @@
 """Commutants of standard-form monodromies and reversibility.
 
 For L = [[m, -1], [1, 0]] with |m| >= 3 the SL(2,Z) centralizer is exactly
-the signed powers {+-L^n}; a determinant -1 coset appears only at m = +-3.
-Among standard forms, L is reversible (conjugate to its own inverse) exactly
-at m = +-3.  Other classes can be reversible too: [[5, 2], [2, 1]] has trace
-6, no unit curve, and is conjugate to its inverse.
+the signed powers {+-L^n}.  The determinant -1 coset is derived, not listed:
+it exists iff the mirror diag(1, -1) L diag(1, -1) has L's canonical word,
+which for the word R^(|m|-2) S happens only at m = +-3 (Cor 5.2).  Among
+standard forms, L is reversible (conjugate to its own inverse) exactly at
+m = +-3.  Other classes can be reversible too: [[5, 2], [2, 1]] has trace 6,
+no unit curve, and is conjugate to its inverse.
 """
 
 from __future__ import annotations
@@ -12,17 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conjugacy import are_conjugate
-from .core_algebra import IDENTITY, IntMatrix2, mat_pow, power_index, require_anosov
-from .errors import (
-    NotCommuting,
-    NotExpressible,
-    NotSL2,
-    NotStandardForm,
-    VerificationError,
-)
+from .conjugacy import symmetries
+from .core_algebra import IDENTITY, IntMatrix2, mat_pow, power_index
+from .errors import NotCommuting, NotExpressible, NotSL2, NotStandardForm
 
-# determinant -1 commutants displayed for the two exceptional traces
+# the determinant -1 commutants `centralizer_description` derives at m = +-3
 GL_EXTRA_POS = IntMatrix2(-2, 1, -1, 1)
 GL_EXTRA_NEG = IntMatrix2(2, 1, -1, -1)
 
@@ -97,33 +93,22 @@ def express_power(K: IntMatrix2, L: IntMatrix2) -> tuple[int, int]:
 def is_reversible(L: IntMatrix2) -> ReversibilityResult:
     """Whether L is SL(2,Z)-conjugate to its inverse, with exact witness.
 
-    Defined for any Anosov matrix via the conjugacy engine; on standard
-    forms the answer is |m| = 3.
+    Defined for any Anosov matrix and decided on its canonical word; on
+    standard forms the answer is |m| = 3.
     """
-    require_anosov(L)
-    result = are_conjugate(L, mat_pow(L, -1), "sl")
-    return ReversibilityResult(result.conjugate, result.witness)
+    K = symmetries(L)[0]
+    return ReversibilityResult(K is not None, K)
 
 
 def centralizer_description(L: IntMatrix2) -> CentralizerDescription:
     """Cosets of the GL(2,Z) centralizer of a standard-form monodromy."""
-    m = standard_form_parameter(L)
-    gl_extra = None
-    gl_extra_square = None
-    if m == 3:
-        gl_extra = GL_EXTRA_POS
-    elif m == -3:
-        gl_extra = GL_EXTRA_NEG
-    if gl_extra is not None:
-        if not commutes(gl_extra, L) or gl_extra.det() != -1:
-            raise VerificationError(f"{gl_extra} is not a det -1 commutant of {L}")
-        gl_extra_square = express_power(gl_extra @ gl_extra, L)
-    rev = is_reversible(L)
+    standard_form_parameter(L)
+    reversal, gl_extra = symmetries(L)
     return CentralizerDescription(
         base=L,
         sl_part="{+-L^n : n in Z}",
         gl_extra=gl_extra,
-        gl_extra_square=gl_extra_square,
-        reversible=rev.reversible,
-        reversal_witness=rev.witness,
+        gl_extra_square=None if gl_extra is None else express_power(gl_extra @ gl_extra, L),
+        reversible=reversal is not None,
+        reversal_witness=reversal,
     )

@@ -88,11 +88,8 @@ def _checked(A: IntMatrix2, B: IntMatrix2, P: IntMatrix2) -> Intertwiner:
 
 def virtually_conjugate(A: IntMatrix2, B: IntMatrix2) -> VirtualConjugacy:
     """Equal traces decide virtual conjugacy; a witness is attached when true."""
-    require_anosov(A, "A")
-    require_anosov(B, "B")
-    if A.trace() != B.trace():
-        return VirtualConjugacy(False, None)
-    return VirtualConjugacy(True, intertwiner(A, B))
+    P = intertwiner(A, B)
+    return VirtualConjugacy(P is not None, P)
 
 
 def has_power_with_trace(A: IntMatrix2, s: int) -> Optional[int]:

@@ -13,7 +13,9 @@ the accumulated conjugations give explicit witnesses.
 
 This one reduction serves every decision here: conjugacy compares words,
 unit curves are read off the canonical word and its conjugator, and class
-enumeration lists reduced words rather than deduplicating by word.
+enumeration lists reduced words rather than deduplicating by word.  It also
+yields the words of L^-1 and of the mirror diag(1, -1) L diag(1, -1), so
+reversibility, the GL(2,Z) retry and the det -1 commutant need no second one.
 [[a, b], [c, d]] is reduced when d >= 1, b >= d and c >= d (then a >= b, c
 by ad - bc = 1): exactly the positive words that start with R and end with
 S.  So a class's reduced members are its word's pair rotations, and the
@@ -59,9 +61,6 @@ class CyclicWord:
     @staticmethod
     def canonical(exponents: tuple[int, ...]) -> "CyclicWord":
         return CyclicWord(min(_pair_rotations(exponents)))
-
-    def rotations(self) -> list[tuple[int, ...]]:
-        return _pair_rotations(self.exponents)
 
     def matrix(self) -> IntMatrix2:
         """Multiply the word out exactly."""
@@ -215,22 +214,61 @@ def _peel_word(M: IntMatrix2) -> tuple[int, ...]:
     return tuple(count for _, count in blocks)
 
 
+def _least_rotation(raw: tuple[int, ...]) -> tuple[CyclicWord, IntMatrix2]:
+    """The least pair rotation of a word, and V with V^-1 (raw matrix) V = its matrix."""
+    rotations = _pair_rotations(raw)
+    best = min(range(len(rotations)), key=rotations.__getitem__)
+    # rotating by one pair conjugates the word matrix by its leading blocks
+    V = CyclicWord(raw[: 2 * best]).matrix() if best else IDENTITY
+    return CyclicWord(rotations[best]), V
+
+
 def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
     """(sign, canonical word, T) with T^-1 (sign*L) T = word matrix."""
     require_anosov(L)
     sign = 1 if L.trace() > 0 else -1
     M = L if sign == 1 else -L
     W, U = _reduce_to_positive_word(M)
-    raw = _peel_word(W)
-    rotations = _pair_rotations(raw)
-    best = min(range(len(rotations)), key=lambda i: rotations[i])
-    # rotating by one pair conjugates the word matrix by its leading blocks
-    V = CyclicWord(raw[: 2 * best]).matrix() if best else IDENTITY
+    word, V = _least_rotation(_peel_word(W))
     T = U @ V
-    word = CyclicWord(rotations[best])
     if T.inverse() @ M @ T != word.matrix():
         raise VerificationError("word reduction transform failed to verify")
     return sign, word, T
+
+
+_MIRROR = IntMatrix2(1, 0, 0, -1)  # D: D R D = R^-1 and D S D = S^-1
+_J = IntMatrix2(0, 1, -1, 0)  # J R J^-1 = S^-1 and J S J^-1 = R^-1
+
+
+def inverse_word(word: CyclicWord) -> CyclicWord:
+    """The canonical word of L^-1, for L's canonical word; the sign is L's.
+
+    J W^-1 J^-1 = R^bk S^ak ... R^b1 S^a1 spells the exponents reversed.
+    """
+    return CyclicWord.canonical(word.exponents[::-1])
+
+
+def _mirror(word: CyclicWord, T: IntMatrix2) -> tuple[CyclicWord, IntMatrix2]:
+    """The canonical word and T of D L D, for L's; the sign is L's.
+
+    sign*D L D = (D T D) (D W D) (D T D)^-1, and J D W D J^-1 = S^a1 R^b1 ...
+    S^ak R^bk is S^a1 (one-step rotation (b1, a2, ..., bk, a1)) S^-a1.
+    """
+    e = word.exponents
+    mirror_word, V = _least_rotation(e[1:] + e[:1])
+    return mirror_word, _MIRROR @ T @ _MIRROR @ _J.inverse() @ _mat_gen_pow(S, e[0]) @ V
+
+
+def _conjugator(
+    A: IntMatrix2, B: IntMatrix2, T_a: IntMatrix2, T_b: IntMatrix2, mirrored: bool = False
+) -> IntMatrix2:
+    """K with K A K^-1 = B, checked, from T_a and the T_b of B (of D B D if mirrored)."""
+    K = T_b @ T_a.inverse()
+    if mirrored:
+        K = _MIRROR @ K
+    if K @ A @ K.inverse() != B:
+        raise VerificationError("conjugacy witness failed to verify")
+    return K
 
 
 def cyclic_word(L: IntMatrix2) -> tuple[int, CyclicWord]:
@@ -241,9 +279,6 @@ def cyclic_word(L: IntMatrix2) -> tuple[int, CyclicWord]:
     """
     sign, word, _ = _canonical_data(L)
     return sign, word
-
-
-_MIRROR = IntMatrix2(1, 0, 0, -1)
 
 
 def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyResult:
@@ -259,15 +294,36 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     invariants = ((sign_a, word_a), (sign_b, word_b))
     mirrored = group == "gl" and invariants[0] != invariants[1]
     if mirrored:
-        sign_b, word_b, T_b = _canonical_data(_MIRROR @ B @ _MIRROR)
+        word_b = _mirror(word_b, T_b)[0]
     if (sign_a, word_a) != (sign_b, word_b):
         return ConjugacyResult(False, None, group, *invariants)
-    K = T_b @ T_a.inverse()
     if mirrored:
-        K = _MIRROR @ K
-    if K @ A @ K.inverse() != B:
-        raise VerificationError("conjugacy witness failed to verify")
+        # D B D's own reduction gives a far shorter witness than the T that
+        # `_mirror` builds from B's
+        T_b = _canonical_data(_MIRROR @ B @ _MIRROR)[2]
+    K = _conjugator(A, B, T_a, T_b, mirrored)
     return ConjugacyResult(True, K, group, *invariants)
+
+
+def symmetries(L: IntMatrix2) -> tuple[Optional[IntMatrix2], Optional[IntMatrix2]]:
+    """(K, E): K in SL(2,Z) with K L K^-1 = L^-1, and E of det -1 with E L = L E.
+
+    Each is None when none exists, as L's word decides: L is reversible
+    (reciprocal, in Sarnak's "Reciprocal geodesics", 2007) iff `inverse_word`
+    gives the word back, and E exists iff D L D has L's word.  E is built from
+    T, with L's sign: E(-L) = -E(L).  K is are_conjugate(L, L^-1)'s witness,
+    so only a reversible L pays a second reduction, of L^-1.
+    """
+    sign, word, T = _canonical_data(L)
+    reversal = commutant = None
+    if inverse_word(word) == word:
+        L_inv = L.inverse()
+        reversal = _conjugator(L, L_inv, T, _canonical_data(L_inv)[2])
+    mirror_word, T_m = _mirror(word, T)
+    if mirror_word == word:
+        E = _conjugator(L, L, T, T_m, mirrored=True)
+        commutant = E if sign == 1 else -E
+    return reversal, commutant
 
 
 def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:

@@ -56,9 +56,6 @@ class IntMatrix2:
             return IntMatrix2(-self.d, self.b, self.c, -self.a)
         raise NotUnimodular(f"determinant {det}, cannot invert exactly")
 
-    def transpose(self) -> "IntMatrix2":
-        return IntMatrix2(self.a, self.c, self.b, self.d)
-
     def apply_vec(self, v: tuple[int, int]) -> tuple[int, int]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
 
@@ -115,9 +112,6 @@ class MonodromyForm:
 
     def evaluate(self, p: int, q: int) -> int:
         return self.qa * p * p + self.qb * p * q + self.qc * q * q
-
-    def content(self) -> int:
-        return math.gcd(self.qa, math.gcd(self.qb, self.qc))
 
     def __str__(self) -> str:
         return f"{self.qa}*x^2 + {self.qb}*xy + {self.qc}*y^2"

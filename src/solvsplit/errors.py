@@ -37,10 +37,6 @@ class InconsistentWitness(DomainError):
     """A supplied conjugation witness does not verify against its matrix."""
 
 
-class VerticalAxis(DomainError):
-    """Lower-left entry is zero, so the fixed-point locus is a vertical line."""
-
-
 class NotUpperHalfPlane(DomainError):
     """Point does not have positive imaginary part."""
 

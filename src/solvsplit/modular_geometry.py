@@ -13,15 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .centralizer import is_reversible
+from .conjugacy import cyclic_word, inverse_word
 from .core_algebra import IntMatrix2, require_anosov
-from .errors import (
-    DomainError,
-    NotUpperHalfPlane,
-    TraceTooSmall,
-    VerificationError,
-    VerticalAxis,
-)
+from .errors import DomainError, NotUpperHalfPlane, TraceTooSmall, VerificationError
 
 Exact = Union[int, Fraction, "QuadraticIrrational"]
 
@@ -58,14 +52,6 @@ class QuadraticIrrational:
     def from_rational(value, disc: int) -> "QuadraticIrrational":
         f = Fraction(value)
         return QuadraticIrrational(f.numerator, 0, f.denominator, disc)
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.p, self.r)
 
     def conjugate(self) -> "QuadraticIrrational":
         return QuadraticIrrational(self.p, -self.q, self.r, self.disc)
@@ -219,12 +205,10 @@ class Geodesic:
 def axis(A: IntMatrix2) -> Geodesic:
     """Geodesic semicircle joining the fixed points of an Anosov matrix.
 
-    The fixed points solve c z^2 + (d - a) z - b = 0; an Anosov integer
-    matrix can never be triangular, so c = 0 does not occur.
+    The fixed points solve c z^2 + (d - a) z - b = 0; c = 0 does not occur,
+    since it forces a = d = +-1 and so trace +-2.
     """
     require_anosov(A)
-    if A.c == 0:
-        raise VerticalAxis("lower-left entry is zero (parabolic, unreachable)")
     t = A.trace()
     d = t * t - 4
     plus = QuadraticIrrational(A.a - A.d, 1, 2 * A.c, d)
@@ -248,39 +232,22 @@ def in_fundamental_domain(z: tuple[Exact, Exact]) -> str:
     """Classify an exact point against {|x| <= 1/2, x^2 + y^2 >= 1}.
 
     Returns "interior", "boundary", or "outside"; the imaginary part must be
-    positive.
+    positive.  A float y is taken at its exact binary value.
     """
     x, y = z
     if not isinstance(x, (int, Fraction, QuadraticIrrational)):
         raise TypeError(f"coordinates must be exact, got {type(x)}")
-    if _exact_sign(y) <= 0:
+    if isinstance(y, float):
+        y = Fraction(y)
+    if y <= 0:
         raise NotUpperHalfPlane(f"y = {y} is not positive")
-    norm = x * x + y * y
-    abs_x_cmp = _exact_cmp_abs_half(x)
-    norm_cmp = _exact_cmp(norm, 1)
-    if abs_x_cmp > 0 or norm_cmp < 0:
+    x_sq, quarter = x * x, Fraction(1, 4)
+    norm = x_sq + y * y
+    if x_sq > quarter or norm < 1:
         return "outside"
-    if abs_x_cmp == 0 or norm_cmp == 0:
+    if x_sq == quarter or norm == 1:
         return "boundary"
     return "interior"
-
-
-def _exact_sign(v: Exact) -> int:
-    if isinstance(v, QuadraticIrrational):
-        return v.sign()
-    f = Fraction(v)
-    return (f > 0) - (f < 0)
-
-
-def _exact_cmp(a: Exact, b: Exact) -> int:
-    return _exact_sign(a - b)
-
-
-def _exact_cmp_abs_half(x: Exact) -> int:
-    half = Fraction(1, 2)
-    if _exact_sign(x) >= 0:
-        return _exact_cmp(x, half)
-    return _exact_cmp(-x, half)
 
 
 @dataclass(frozen=True)
@@ -369,11 +336,12 @@ def axis_order2_points(m: int) -> tuple[int, ...]:
 def hits_order2_cone(L: IntMatrix2) -> bool:
     """Whether the projected axis passes through the order-2 cone point.
 
-    Equivalent to reversibility; for standard-form input the answer is
-    cross-checked against the exact integer incidence test.
+    Equivalent to reversibility, read off the canonical word; for
+    standard-form input the answer is cross-checked against the exact
+    integer incidence test.
     """
-    require_anosov(L)
-    reversible = is_reversible(L).reversible
+    _, word = cyclic_word(L)
+    reversible = inverse_word(word) == word
     if (L.b, L.c, L.d) == (-1, 1, 0):
         if reversible != bool(axis_order2_points(L.a)):
             raise VerificationError(f"reversal of {L} disagrees with the cone test")

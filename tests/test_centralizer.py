@@ -4,14 +4,17 @@ import pytest
 
 from solvsplit import (
     IntMatrix2,
+    are_conjugate,
     centralizer_description,
     classify,
     commutes,
     express_power,
+    hits_order2_cone,
     is_reversible,
     mat_pow,
     standard_form_parameter,
 )
+from solvsplit import conjugacy
 from solvsplit.centralizer import GL_EXTRA_NEG, GL_EXTRA_POS
 from solvsplit.errors import (
     NotAnosov,
@@ -20,7 +23,13 @@ from solvsplit.errors import (
     NotStandardForm,
 )
 
-from _helpers import commuting_unimodular_scan, random_sl2, signed_power_orbit
+from _helpers import (
+    commuting_unimodular_scan,
+    long_conjugator,
+    random_sl2,
+    signed_power_orbit,
+    word_product,
+)
 
 L3 = IntMatrix2(3, -1, 1, 0)
 L3N = IntMatrix2(-3, -1, 1, 0)
@@ -151,3 +160,49 @@ class TestCommutantScan:
         found = {K.entries() for K in commuting_unimodular_scan(L, bound=15)}
         expected = signed_power_orbit(L, bound=15, extra=desc.gl_extra)
         assert found == expected
+
+
+class TestReductionCounts:
+    """One reduction of L decides reversibility, the mirror and the det -1 coset."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+        original = conjugacy._reduce_to_positive_word
+
+        def counted(M):
+            calls.append(M)
+            return original(M)
+
+        monkeypatch.setattr(conjugacy, "_reduce_to_positive_word", counted)
+
+        def count(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        return count
+
+    def test_one_reduction_for_non_reversible_input(self, reductions):
+        K = long_conjugator(random.Random(34), 200)
+        for W in (IntMatrix2(4, -1, 1, 0), word_product((1, 2, 1, 3)), -word_product((5, 2))):
+            L = K @ W @ K.inverse()
+            assert not is_reversible(L).reversible
+            assert reductions(is_reversible, L) == 1
+            assert reductions(hits_order2_cone, L) == 1
+
+    def test_at_most_two_for_reversible_input(self, reductions):
+        for L in (IntMatrix2(5, 2, 2, 1), IntMatrix2(2, 1, 1, 1), IntMatrix2(-3, -1, 1, 0)):
+            assert reductions(hits_order2_cone, L) <= 2
+            assert reductions(is_reversible, L) <= 2
+
+    def test_two_for_same_trace_pair_not_gl_conjugate(self, reductions):
+        A, B = word_product((6, 1)), word_product((3, 2))
+        assert A.trace() == B.trace() and not are_conjugate(A, B, "gl")
+        assert reductions(are_conjugate, A, B, "gl") == 2
+
+    def test_centralizer_description(self, reductions):
+        assert reductions(centralizer_description, IntMatrix2(4, -1, 1, 0)) == 1
+        assert reductions(centralizer_description, IntMatrix2(-4, -1, 1, 0)) == 1
+        assert reductions(centralizer_description, IntMatrix2(3, -1, 1, 0)) <= 2
+        assert reductions(centralizer_description, IntMatrix2(-3, -1, 1, 0)) <= 2

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,16 @@ from solvsplit import (
     monodromy_form,
     represent_unit,
 )
-from solvsplit.conjugacy import R, S, CyclicWord, _peel_word, _reduce_to_positive_word
+from solvsplit.conjugacy import (
+    R,
+    S,
+    CyclicWord,
+    _canonical_data,
+    _mirror,
+    _peel_word,
+    _reduce_to_positive_word,
+    inverse_word,
+)
 from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall, VerificationError
 
 from _helpers import (
@@ -230,6 +240,25 @@ class TestReversalThroughWords:
         L = CyclicWord((2, 1)).matrix()
         sign, word = cyclic_word(mat_pow(L, -1))
         assert sign == 1 and word == CyclicWord((1, 2))
+
+
+class TestWordSymmetries:
+    """The words of L^-1 and of D L D, read off L's canonical data."""
+
+    def test_agree_with_reducing_the_inverse_and_the_mirror(self):
+        # full reductions of L^-1 and of D L D are the oracle
+        rng = random.Random(33)
+        for t in range(3, 41):
+            for exps, sign in product(sorted(words_of_trace(t)), (1, -1)):
+                W = word_product(exps)
+                K = long_conjugator(rng, 64)
+                L = K @ (W if sign == 1 else -W) @ K.inverse()
+                _, word, T = _canonical_data(L)
+                assert cyclic_word(mat_pow(L, -1)) == (sign, inverse_word(word))
+                mirror_word, T_m = _mirror(word, T)
+                M = MIRROR @ L @ MIRROR
+                assert cyclic_word(M) == (sign, mirror_word)
+                assert T_m.inverse() @ (M if sign == 1 else -M) @ T_m == mirror_word.matrix()
 
 
 def _large_words(rng):

@@ -172,6 +172,44 @@ class TestFundamentalDomain:
         assert in_fundamental_domain((Fraction(501, 1000), 5)) == "outside"
         assert in_fundamental_domain((Fraction(499, 1000), 5)) == "interior"
 
+    @pytest.mark.parametrize(
+        "x, y, expected",
+        [
+            # on |x| = 1/2, mixed int, Fraction and quadratic-irrational y
+            (Fraction(1, 2), 2, "boundary"),
+            (Fraction(-1, 2), Fraction(3, 2), "boundary"),
+            (Fraction(-1, 2), qi(0, 1, 2, 3), "boundary"),
+            (Fraction(1, 2), qi(1, 1, 1, 2), "boundary"),
+            (qi(1, 0, 2, 5), qi(0, 1, 2, 3), "boundary"),
+            (Fraction(1, 2), Fraction(1, 2), "outside"),  # |x| = 1/2 but inside C_0
+            (Fraction(1, 2), qi(0, 1, 2, 2), "outside"),
+            # on x^2 + y^2 = 1
+            (0, 1, "boundary"),
+            (Fraction(2, 5), qi(0, 1, 5, 21), "boundary"),
+            (qi(0, -1, 4, 3), qi(0, 1, 4, 13), "boundary"),
+            (qi(0, 1, 4, 3), 1, "interior"),
+            (qi(0, 1, 4, 3), Fraction(8, 10), "outside"),
+            (Fraction(3, 5), Fraction(4, 5), "outside"),  # on C_0 but |x| > 1/2
+            (qi(0, 1, 2, 2), qi(0, 1, 2, 2), "outside"),
+            (Fraction(-1, 3), qi(0, 2, 3, 2), "boundary"),
+            # a float y is taken at its exact value
+            (Fraction(1, 2), 2.0, "boundary"),
+            (0, 1.0, "boundary"),
+            (Fraction(1, 4), 0.96875, "interior"),
+        ],
+    )
+    def test_boundaries_with_mixed_exact_types(self, x, y, expected):
+        assert in_fundamental_domain((x, y)) == expected
+        assert in_fundamental_domain((-x, y)) == expected
+
+    def test_rejects_non_positive_irrational_y_and_inexact_x(self):
+        with pytest.raises(NotUpperHalfPlane):
+            in_fundamental_domain((0, qi(0, -1, 2, 3)))
+        with pytest.raises(NotUpperHalfPlane):
+            in_fundamental_domain((0, qi(1, -1, 1, 2)))  # 1 - sqrt(2) < 0
+        with pytest.raises(TypeError):
+            in_fundamental_domain((0.5, 1))
+
 
 class TestAlphaArc:
     def test_m4_corner_coincidence(self):
