@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .conjugacy import represent_unit
+from .conjugacy import standard_conjugator
 from .core_algebra import (
     IDENTITY,
     IntMatrix2,
@@ -25,7 +25,6 @@ from .core_algebra import (
 )
 from .errors import InconsistentWitness
 
-_FLIP = IntMatrix2(1, 0, 0, -1)
 RHO = IntMatrix2(0, 1, 1, 0)
 
 LEVEL_ZERO = Fraction(0)
@@ -103,36 +102,18 @@ class ClassificationReport:
 def standard_form(L: IntMatrix2) -> Optional[StandardFormResult]:
     """Conjugate L onto [[t, -1], [1, 0]], or decide it cannot be done.
 
-    A unit curve v with Q_L(v) = +1 makes (-Lv, v) a det +1 basis in which L
-    is the standard form.  If only Q_L(v) = -1 exists, the basis (+Lv, v)
-    reaches the mirror [[t, 1], [-1, 0]] and composing with diag(1, -1)
-    lands on the standard form at the cost of determinant -1.
+    The conjugator is `conjugacy.standard_conjugator`'s; its determinant is
+    -1 when only the mirror [[t, 1], [-1, 0]] is SL-conjugate to L, and it
+    equals the value of Q_L on the unit curve.
     """
     require_anosov(L)
     t = L.trace()
     if (L.b, L.c, L.d) == (-1, 1, 0):
         return StandardFormResult(t, IDENTITY, 1, 1)
-    unit = represent_unit(L)
-    if unit is None:
+    K = standard_conjugator(L)
+    if K is None:
         return None
-    v = unit.curve.vector()
-    img = L.apply_vec(v)
-    if unit.value == 1:
-        vprime = (-img[0], -img[1])
-        Kprime = IntMatrix2(vprime[0], v[0], vprime[1], v[1])
-        K = Kprime.inverse()
-        det = 1
-    else:
-        vprime = img
-        Kprime = IntMatrix2(vprime[0], v[0], vprime[1], v[1])
-        K = _FLIP @ Kprime.inverse()
-        det = -1
-    if Kprime.det() != 1:
-        raise InconsistentWitness(f"unit-curve basis has det {Kprime.det()}, not 1")
-    result = StandardFormResult(t, K, det, unit.value)
-    if K @ L @ K.inverse() != result.target():
-        raise InconsistentWitness("standard-form conjugator failed to verify")
-    return result
+    return StandardFormResult(t, K, K.det(), K.det())
 
 
 def _transport(K: IntMatrix2, curve: PrimitiveSlope) -> PrimitiveSlope:
@@ -251,7 +232,7 @@ def classify(L: IntMatrix2) -> ClassificationReport:
         genus = 2
         count = 2 if abs(t) == 3 else 1
         splitting_type = "strongly_irreducible_genus2"
-        witness_curve = _transport(sf.conjugator, PrimitiveSlope(0, 1))
+        witness_curve = spines[0].transported_curves[0]
         if abs(monodromy_form(L).evaluate(*witness_curve.vector())) != 1:
             raise InconsistentWitness("transported witness curve is not a unit curve")
         if sf.conjugator_det == -1:

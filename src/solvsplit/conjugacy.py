@@ -12,10 +12,11 @@ The pair (trace sign, canonical word) is a complete conjugacy invariant, and
 the accumulated conjugations give explicit witnesses.
 
 This one reduction serves every decision here: conjugacy compares words,
-unit curves are read off the canonical word and its conjugator, and class
-enumeration lists reduced words rather than deduplicating by word.  It also
-yields the words of L^-1 and of the mirror diag(1, -1) L diag(1, -1), so
-reversibility, the GL(2,Z) retry and the det -1 commutant need no second one.
+the standard form and its unit curve are read off the canonical word and its
+conjugator, and class enumeration lists reduced words rather than
+deduplicating by word.  It also yields the words of L^-1 and of the mirror
+diag(1, -1) L diag(1, -1), so reversibility, the GL(2,Z) retry and the
+det -1 commutant need no second one.
 [[a, b], [c, d]] is reduced when d >= 1, b >= d and c >= d (then a >= b, c
 by ad - bc = 1): exactly the positive words that start with R and end with
 S.  So a class's reduced members are its word's pair rotations, and the
@@ -113,21 +114,11 @@ def _pair_rotations(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
 #     1 / x   is  (-p, r, q)
 
 
-def _sign_p_plus_sqrt(p: int, sd: int) -> int:
-    # sign of p + sqrt(d) for sd = isqrt(d); never zero since d is not a square
-    return 1 if p + sd >= 0 else -1
-
-
 def _surd_floor(p: int, q: int, sd: int) -> int:
     # floor((p + sqrt(d)) / q); sd = isqrt(d)
     if q > 0:
         return (p + sd) // q
     return (-p - sd - 1) // (-q)
-
-
-def _surd_gt_one(p: int, q: int, sd: int) -> bool:
-    # (p + sqrt(d)) / q > 1  <=>  sign(p - q + sqrt(d)) agrees with sign(q)
-    return _sign_p_plus_sqrt(p - q, sd) == (1 if q > 0 else -1)
 
 
 def _step_cap(M: IntMatrix2) -> int:
@@ -158,9 +149,9 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[IntMatrix2, IntMatrix2]:
     for _ in range(_step_cap(M)):
         if 2 <= t - p <= min(q, r):
             break
-        if _surd_gt_one(p, q, sd) or _sign_p_plus_sqrt(p, sd) != (1 if q > 0 else -1):
-            # x > 1 or x < 0: translate by R^-k so x lands in (0, 1)
-            k = _surd_floor(p, q, sd)
+        k = _surd_floor(p, q, sd)
+        if k:
+            # x > 1 or x < 0, as x is irrational: translate by R^-k into (0, 1)
             p, r = p - k * q, r + k * (2 * p - k * q)
             U = IntMatrix2(U.a, U.b + k * U.a, U.c, U.d + k * U.c)  # U @ R^k
         else:
@@ -326,34 +317,43 @@ def symmetries(L: IntMatrix2) -> tuple[Optional[IntMatrix2], Optional[IntMatrix2
     return reversal, commutant
 
 
-def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
-    """Find a curve with |Q_L| = 1, or decide none exists.
+def standard_conjugator(L: IntMatrix2) -> Optional[IntMatrix2]:
+    """K with K L K^-1 = F = [[t, -1], [1, 0]], t = trace L, or None if none exists.
 
-    Reads the answer off the canonical data (sign, word, T), where
-    T^-1 (sign*L) T = W.  Since det T = 1, Q_{T W T^-1}(T v) = Q_W(v), and
-    Q_{-M} = -Q_M, so Q_L(T v) = sign * Q_W(v).  For t = |trace L| the
-    standard form [[t, -1], [1, 0]] has word R^{t-2} S with Q_W(1, 0) = 1,
-    and its mirror [[t, 1], [-1, 0]] has word R S^{t-2} with Q_W(0, 1) = -1.
-    Conversely a curve where Q_{sign*L} is +1 (or -1) gives a det 1 basis in
-    which sign*L is the standard form (or its mirror), as in
-    `classification.standard_form`.  So a unit curve exists iff the word is
-    one of those two; it is then the first or the second column of T, and
-    None is a proof that there is none.  At trace +-3 the word is R S and
-    both columns are unit curves; the one with value +1 is returned.
+    Read off L's canonical (sign, word, T).  For n = |t| - 2, [[n+2, -1], [1, 0]]
+    is X R^n S X^-1 with X = [[0, -1], [1, -n-1]], and [[n+2, 1], [-1, 0]] is
+    X R S^n X^-1 with X = [[1, 0], [-1, 1]]; these are sign*F and sign*D F D
+    (D = diag(1, -1)), swapped when t < 0.  So K is X T^-1, or D X T^-1 of det -1,
+    and det 1 is chosen at |t| = 3.  A curve with Q_L(v) = +-1 gives the det 1
+    basis (-+Lv, v) in which L is F or D F D, so no other word occurs; and
+    Q_L(K^-1 (0, 1)) = Q_F(0, 1) det K = det K.
     """
     sign, word, T = _canonical_data(L)
     n = abs(L.trace()) - 2
     if word.exponents == (n, 1) and (sign == 1 or n != 1):
-        return _checked_unit(L, (T.a, T.c), sign)
-    if word.exponents == (1, n):
-        return _checked_unit(L, (T.b, T.d), -sign)
-    return None
+        X, value = IntMatrix2(0, -1, 1, -n - 1), sign
+    elif word.exponents == (1, n):
+        X, value = IntMatrix2(1, 0, -1, 1), -sign
+    else:
+        return None
+    return _conjugator(L, IntMatrix2(L.trace(), -1, 1, 0), T, X, mirrored=value == -1)
+
+
+def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
+    """A curve with |Q_L| = 1, or None, which proves there is none.
+
+    The curve is K^-1 (0, 1) for the `standard_conjugator` K, with value det K.
+    """
+    K = standard_conjugator(L)
+    if K is None:
+        return None
+    return _checked_unit(L, K.inverse().apply_vec((0, 1)), K.det())
 
 
 def least_form_vector(L: IntMatrix2) -> tuple[int, int]:
     """A primitive v with the least |Q_L(v)|, read off the canonical word.
 
-    |Q_L(T v)| = |Q_W(v)| as in `represent_unit`, and for each of the 2k block
+    |Q_L(T v)| = |Q_W(v)| as T^-1 (sign*L) T = W, and for each of the 2k block
     prefixes V of the word, Q_W(V x) is the form of a block rotation, with
     leading coefficients at x = e1, e2.  These are the reduced forms of the
     cycle of Q_W (Latimer & MacDuffee, Ann. of Math. 34, 1933).  By Markov the

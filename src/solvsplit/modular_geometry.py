@@ -242,12 +242,28 @@ def in_fundamental_domain(z: tuple[Exact, Exact]) -> str:
     if y <= 0:
         raise NotUpperHalfPlane(f"y = {y} is not positive")
     x_sq, quarter = x * x, Fraction(1, 4)
-    norm = x_sq + y * y
-    if x_sq > quarter or norm < 1:
+    side = _sign_of_difference(y * y, 1 - x_sq)  # sign of x^2 + y^2 - 1
+    if x_sq > quarter or side < 0:
         return "outside"
-    if x_sq == quarter or norm == 1:
+    if x_sq == quarter or side == 0:
         return "boundary"
     return "interior"
+
+
+def _sign_of_difference(a: Exact, b: Exact) -> int:
+    """sign(a - b), where a and b may lie in two different quadratic fields.
+
+    Split b = b0 + v, b0 rational and v = (q/r) sqrt(disc): a - b = u - v with
+    u = a - b0 in a's field, and unless u has v's sign, -v's sign decides it;
+    otherwise u^2 - v^2 does, and v^2 is rational.
+    """
+    if not isinstance(b, QuadraticIrrational) or b.q == 0:
+        return (a > b) - (a < b)
+    u, sv = a - Fraction(b.p, b.r), (1 if b.q > 0 else -1)
+    if not sv * u > 0:
+        return -sv
+    u_sq, v_sq = u * u, Fraction(b.q * b.q * b.disc, b.r * b.r)
+    return sv * ((u_sq > v_sq) - (u_sq < v_sq))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,15 @@ from solvsplit import (
 from solvsplit.classification import StandardFormResult
 from solvsplit.errors import InconsistentWitness, NotAnosov, NotSL2
 
-from _helpers import matrices_of_trace, random_anosov, random_sl2
+from _helpers import (
+    long_conjugator,
+    matrices_of_trace,
+    random_anosov,
+    random_sl2,
+    unit_exists_brute,
+    word_product,
+    words_of_trace,
+)
 
 FIG8 = IntMatrix2(2, 1, 1, 1)
 
@@ -56,6 +64,30 @@ class TestStandardForm:
         for _ in range(300):
             L = random_anosov(rng)
             assert (standard_form(L) is None) == (represent_unit(L) is None)
+
+    def test_exists_exactly_on_standard_words(self):
+        # every class with 3 <= |t| <= 40, behind a conjugator of 64-bit entries;
+        # sign*F for F = [[t, -1], [1, 0]] is R^(|t|-2) S when t > 0 and
+        # R S^(|t|-2) when t < 0, so det K = 1 exactly on that word
+        rng = random.Random(43)
+        for t in range(3, 41):
+            for word in sorted(words_of_trace(t)):
+                W = word_product(word)
+                standard = word in ((t - 2, 1), (1, t - 2))
+                assert unit_exists_brute(W, bound=30) == standard
+                for sign in (1, -1):
+                    K = long_conjugator(rng, 64)
+                    L = K @ (W if sign == 1 else -W) @ K.inverse()
+                    report = classify(L)
+                    sf = report.standard_form
+                    assert (sf is not None) == standard, (sign, word)
+                    if sf is None:
+                        continue
+                    C = sf.conjugator
+                    assert C @ L @ C.inverse() == IntMatrix2(sign * t, -1, 1, 0)
+                    det = 1 if word == ((t - 2, 1) if sign == 1 else (1, t - 2)) else -1
+                    value = monodromy_form(L).evaluate(*report.witness_curve.vector())
+                    assert C.det() == det == sf.conjugator_det == sf.unit_value == value
 
 
 class TestClassify:

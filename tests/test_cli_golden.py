@@ -4,9 +4,10 @@
 `--text`): the exit code, the sha256 of stdout and, for `figure`, the sha256
 of the SVG it writes.  The requests cover all seven subcommands, with
 reversible inputs, mirror-conjugate pairs under `--group gl`, the centralizer
-at m = +-3 .. +-7, error exits and inputs with long entries.  A change that
-alters printed output on purpose bumps `schema_version` and rewrites the file
-with `PYTHONPATH=src python tests/test_cli_golden.py`.
+at m = +-3 .. +-7, error exits and inputs with long entries, among them
+the standard forms R^n S and R S^n of both signs.  A change that alters
+printed output on purpose bumps `schema_version` and rewrites the file with
+`PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _mirror(M: IntMatrix2) -> IntMatrix2:
 
 
 def requests() -> list[list[str]]:
-    from _helpers import long_conjugator, random_sl2
+    from _helpers import long_conjugator, random_sl2, word_product
 
     rng = random.Random(20261018)
 
@@ -130,6 +131,14 @@ def requests() -> list[list[str]]:
         ["geodesic", "-m", "1,0;0,1"],
         ["figure", "--m", "2", "-o", SVG],
     ]
+    # long-entry genus 2 inputs: the standard form R^n S and its mirror R S^n
+    for n in (2, 5, 40):
+        for word in ((n, 1), (1, n)):
+            for sign in (1, -1):
+                M = word_product(word)
+                K = long_conjugator(rng, 300)
+                L = conj(M if sign == 1 else -M, K)
+                out += [["classify", "-m", L], ["geodesic", "-m", L]]
     return out
 
 

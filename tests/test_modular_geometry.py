@@ -1,5 +1,6 @@
 import math
 import random
+from math import isqrt
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -28,6 +29,39 @@ from _helpers import random_anosov
 
 def qi(p, q, r, d):
     return QuadraticIrrational(p, q, r, d)
+
+
+def domain_oracle(x, y):
+    """in_fundamental_domain's answer for x = (p + q sqrt(d)) / r and y alike.
+
+    Plain integer arithmetic, no library calls: x^2 - 1/4 and x^2 + y^2 - 1
+    are A + B sqrt(d1) + C sqrt(d2) over a positive denominator.
+    """
+    (p1, q1, r1, d1), (p2, q2, r2, d2) = x, y
+    x_sq = (p1 * p1 + q1 * q1 * d1, 2 * p1 * q1)  # times r1^2
+    x_side = surd_sign(4 * x_sq[0] - r1 * r1, 4 * x_sq[1], d1)
+    A = x_sq[0] * r2 * r2 + (p2 * p2 + q2 * q2 * d2 - r2 * r2) * r1 * r1
+    circle_side = surd_sign(A, x_sq[1] * r2 * r2, d1, 2 * p2 * q2 * r1 * r1, d2)
+    if x_side > 0 or circle_side < 0:
+        return "outside"
+    return "boundary" if x_side == 0 or circle_side == 0 else "interior"
+
+
+def surd_sign(A, B, d1, C=0, d2=1):
+    """sign(A + B sqrt(d1) + C sqrt(d2)) for nonsquare d1, d2 with d1 d2 nonsquare.
+
+    The value is irrational unless B = C = 0, so bracketing each root between
+    isqrt(d 4^k) / 2^k and that plus 2^-k decides it once k is large enough.
+    """
+    if B == C == 0:
+        return (A > 0) - (A < 0)
+    for k in range(64, 4096, 64):
+        s1, s2 = isqrt(d1 << 2 * k), isqrt(d2 << 2 * k)
+        lo = (A << k) + min(B * s1, B * (s1 + 1)) + min(C * s2, C * (s2 + 1))
+        hi = (A << k) + max(B * s1, B * (s1 + 1)) + max(C * s2, C * (s2 + 1))
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+    raise AssertionError("sign not decided")
 
 
 class TestQuadraticIrrational:
@@ -201,6 +235,31 @@ class TestFundamentalDomain:
     def test_boundaries_with_mixed_exact_types(self, x, y, expected):
         assert in_fundamental_domain((x, y)) == expected
         assert in_fundamental_domain((-x, y)) == expected
+
+    def test_points_with_coordinates_in_two_quadratic_fields(self):
+        # x = (p + q sqrt(d)) / r in one field and y in another, on both sides
+        # of the unit circle, on it and past |x| = 1/2
+        points = [
+            ((-1, 1, 4, 5), (1, 1, 2, 3)),  # (sqrt5 - 1)/4 + i (1 + sqrt3)/2
+            ((-1, 1, 4, 5), (-1, 1, 2, 3)),
+            ((0, 1, 4, 2), (0, 1, 4, 14)),  # x^2 + y^2 = 1/8 + 7/8
+            ((0, 1, 4, 2), (1, 1, 4, 7)),
+            ((0, 1, 4, 2), (1, 1, 4, 10)),
+            ((1, -1, 4, 3), (0, 1, 5, 21)),
+            ((1, -1, 4, 3), (1, 1, 3, 7)),
+            ((-1, 1, 4, 5), (0, 1, 40, 1447)),  # 1 - x^2 = 0.904508...
+            ((-1, 1, 4, 5), (0, 1, 20, 362)),
+            ((-1, 1, 4, 5), (3, 1, 40, 1063)),
+            ((0, 1, 2, 2), (1, 1, 1, 3)),  # |x| = 0.707...
+        ]
+        seen = set()
+        for xs, ys in points:
+            expected = domain_oracle(xs, ys)
+            seen.add(expected)
+            x, y = qi(*xs), qi(*ys)
+            assert in_fundamental_domain((x, y)) == expected, (xs, ys)
+            assert in_fundamental_domain((-x, y)) == expected, (xs, ys)
+        assert seen == {"interior", "boundary", "outside"}
 
     def test_rejects_non_positive_irrational_y_and_inexact_x(self):
         with pytest.raises(NotUpperHalfPlane):
