@@ -5,8 +5,9 @@
 of the SVG it writes.  The requests cover all seven subcommands, with
 reversible inputs, mirror-conjugate pairs under `--group gl`, the centralizer
 at m = +-3 .. +-7, error exits and inputs with long entries, among them
-the standard forms R^n S and R S^n of both signs.  A change that alters
-printed output on purpose bumps `schema_version` and rewrites the file with
+the standard forms R^n S and R S^n of both signs and proper powers such as
+(RS)^5.  A change that alters printed output on purpose bumps
+`schema_version` and rewrites the file with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
@@ -139,6 +140,21 @@ def requests() -> list[list[str]]:
                 K = long_conjugator(rng, 300)
                 L = conj(M if sign == 1 else -M, K)
                 out += [["classify", "-m", L], ["geodesic", "-m", L]]
+    # long-entry proper powers, and a word with 10^15 and 10^9 exponents
+    for word in ((1, 1) * 2, (1, 1) * 3, (1, 1) * 5, (2, 1) * 2, (1, 2, 1, 3) * 2,
+                 (10**15, 7, 1, 10**9)):
+        for sign in (1, -1):
+            M = word_product(word)
+            M = M if sign == 1 else -M
+            L = conj(M, long_conjugator(rng, 300))
+            out += [
+                ["classify", "-m", L],
+                ["geodesic", "-m", L],
+                ["conjugate", "-A", L, "-B", conj(M.inverse(), long_conjugator(rng, 300))],
+                ["conjugate", "-A", L, "-B", conj(_mirror(M), long_conjugator(rng, 300)),
+                 "--group", "gl"],
+                ["commensurable", "-A", L, "-B", conj(M, long_conjugator(rng, 300))],
+            ]
     return out
 
 
