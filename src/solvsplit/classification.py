@@ -23,7 +23,7 @@ from .core_algebra import (
     monodromy_form,
     require_anosov,
 )
-from .errors import InconsistentWitness
+from .errors import InconsistentWitness, VerificationError
 
 RHO = IntMatrix2(0, 1, 1, 0)
 
@@ -141,7 +141,7 @@ def _involution_data(m_signed: int) -> InvolutionData:
         ),
     )
     if not all(ok for _, ok in checks):
-        raise InconsistentWitness(f"involution identities failed for m = {m_signed}")
+        raise VerificationError(f"involution identities failed for m = {m_signed}")
     return InvolutionData(
         rho=RHO,
         beta=beta,
@@ -234,7 +234,7 @@ def classify(L: IntMatrix2) -> ClassificationReport:
         splitting_type = "strongly_irreducible_genus2"
         witness_curve = spines[0].transported_curves[0]
         if abs(monodromy_form(L).evaluate(*witness_curve.vector())) != 1:
-            raise InconsistentWitness("transported witness curve is not a unit curve")
+            raise VerificationError("transported witness curve is not a unit curve")
         if sf.conjugator_det == -1:
             annotations.append(
                 "standard-form identification reverses orientation "

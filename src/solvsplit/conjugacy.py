@@ -6,8 +6,10 @@ positive powers of
 unique up to rotating the word by whole R-block/S-block pairs.  We reach such
 a product by conjugating with powers of R and S that continued-fraction
 reduce the attracting fixed point (a quadratic surd, handled with integer
-arithmetic only), then peel the resulting positive matrix one whole block
-R^k or S^k per integer quotient, in steps linear in the input's bit length.
+arithmetic only).  Once the conjugate is a positive word, the same continued
+fraction is purely periodic and reads the word off one whole block R^k or
+S^k per quotient, so one loop of steps linear in the input's bit length
+both reduces the matrix and spells its word.
 The pair (trace sign, canonical word) is a complete conjugacy invariant, and
 the accumulated conjugations give explicit witnesses.
 
@@ -121,23 +123,24 @@ def _surd_floor(p: int, q: int, sd: int) -> int:
     return (-p - sd - 1) // (-q)
 
 
-def _step_cap(M: IntMatrix2) -> int:
-    # loop bound for the word engine, linear in the input's bit length
-    return 4 * max(e.bit_length() for e in M.entries()) + 16
+def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2]:
+    """Conjugate trace >= 3 input into a positive R/S word, and read the word.
 
-
-def _reduce_to_positive_word(M: IntMatrix2) -> tuple[IntMatrix2, IntMatrix2]:
-    """Conjugate trace >= 3 input into a positive R/S word.
-
-    Returns (W, U) with U^-1 M U = W and W reduced, so all entries >= 1.
-    The conjugating steps follow the continued fraction of the attracting
-    fixed point x = ((a - d) + sqrt(t^2 - 4)) / (2c) of the current
-    conjugate, carried as (p, q, r) = (a - d, 2c, 2b) since
-    t^2 - 4 - (a - d)^2 = 4bc.  So d = (t - p) / 2, and the loop stops on
-    2 <= t - p <= min(q, r), i.e. d >= 1, c >= d and b >= d: x > 1 with
-    conjugate in (-1, 0).  It gets there once the convergent denominators,
-    which grow at least like phi^n, pass sqrt(|2c|): about 0.72 steps per
-    entry bit.
+    Returns (exponents, U) with U^-1 M U the matrix of the word
+    R^e1 S^e2 ... R^e(2k-1) S^e2k, a reduced matrix.  The conjugating steps
+    follow the continued fraction of the attracting fixed point
+    x = ((a - d) + sqrt(t^2 - 4)) / (2c) of the current conjugate, carried as
+    (p, q, r) = (a - d, 2c, 2b) since t^2 - 4 - (a - d)^2 = 4bc.  So
+    d = (t - p) / 2, and the reduction ends on 2 <= t - p <= min(q, r), i.e.
+    d >= 1, c >= d and b >= d: x > 1 with conjugate in (-1, 0).  It gets there
+    once the convergent denominators, which grow at least like phi^n, pass
+    sqrt(|2c|): about 0.72 steps per entry bit.  From there the continued
+    fraction is purely periodic and its period is the word, so the loop goes
+    on, one whole block per quotient, until the word read so far has trace t.
+    Prefix traces strictly increase, so that is the full word, a proper power
+    included.  A word of n blocks has top-left entry at least phi^(n-1) and
+    its entries are below t, so the read takes under 1.45 steps per bit; the
+    loop allows 8 steps per entry bit for both phases.
     """
     # hyperbolic integer matrices are never triangular
     if M.c == 0:
@@ -145,27 +148,30 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[IntMatrix2, IntMatrix2]:
     t = M.trace()
     sd = math.isqrt(t * t - 4)
     p, q, r = M.a - M.d, 2 * M.c, 2 * M.b
-    U = IDENTITY
-    for _ in range(_step_cap(M)):
-        if 2 <= t - p <= min(q, r):
-            break
+    a, b, c, d = 1, 0, 0, 1  # U, then the word read once U is found
+    U = None
+    exponents: list[int] = []
+    for _ in range(8 * max(e.bit_length() for e in M.entries()) + 32):
+        if U is None:
+            if 2 <= t - p <= min(q, r):
+                U = IntMatrix2(a, b, c, d)
+                a, b, c, d = 1, 0, 0, 1
+        elif a + d == t:
+            return tuple(exponents), U
         k = _surd_floor(p, q, sd)
         if k:
             # x > 1 or x < 0, as x is irrational: translate by R^-k into (0, 1)
             p, r = p - k * q, r + k * (2 * p - k * q)
-            U = IntMatrix2(U.a, U.b + k * U.a, U.c, U.d + k * U.c)  # U @ R^k
+            b, d = b + k * a, d + k * c  # times R^k
         else:
-            # 0 < x < 1: apply S^-b with b = floor(1/x), i.e. invert,
-            # translate by b and invert back
-            b = _surd_floor(-p, r, sd)
-            p, q = p + b * r, q - b * (2 * p + b * r)
-            U = IntMatrix2(U.a + b * U.b, U.b, U.c + b * U.d, U.d)  # U @ S^b
-    else:
-        raise VerificationError("fixed-point reduction did not terminate")
-    W = U.inverse() @ M @ U
-    if min(W.entries()) < 1:
-        raise VerificationError(f"reduction left nonpositive entries: {W}")
-    return W, U
+            # 0 < x < 1: apply S^-k with k = floor(1/x), i.e. invert,
+            # translate by k and invert back
+            k = _surd_floor(-p, r, sd)
+            p, q = p + k * r, q - k * (2 * p + k * r)
+            a, c = a + k * b, c + k * d  # times S^k
+        if U is not None:
+            exponents.append(k)
+    raise VerificationError("fixed-point reduction did not terminate")
 
 
 def _mat_gen_pow(gen: IntMatrix2, k: int) -> IntMatrix2:
@@ -173,36 +179,6 @@ def _mat_gen_pow(gen: IntMatrix2, k: int) -> IntMatrix2:
     if gen.b == 1:
         return IntMatrix2(1, k, 0, 1)
     return IntMatrix2(1, 0, k, 1)
-
-
-def _peel_word(M: IntMatrix2) -> tuple[int, ...]:
-    """Factor an all-positive SL(2,Z) matrix as alternating R/S blocks.
-
-    Peels the longest R-block while the first row dominates the second
-    entrywise, the longest S-block in the opposite case; nonnegativity and
-    det 1 guarantee exactly one applies until the identity is reached.  A
-    word of n blocks dominates (RS)^(n/2) entrywise, so its top-left entry
-    is at least phi^(n-1), and n stays below 1.45 times its bit length plus 1.
-    """
-    blocks: list[tuple[str, int]] = []
-    max_blocks = _step_cap(M)
-    while M != IDENTITY:
-        if len(blocks) >= max_blocks:
-            raise VerificationError(f"peel exceeded {max_blocks} blocks")
-        a, b, c, d = M.entries()
-        if a >= c and b >= d:
-            k = b if c == 0 else min(a // c, b // d)
-            M = IntMatrix2(a - k * c, b - k * d, c, d)
-            blocks.append(("R", k))
-        elif c >= a and d >= b:
-            k = c if b == 0 else min(c // a, d // b)
-            M = IntMatrix2(a, b, c - k * a, d - k * b)
-            blocks.append(("S", k))
-        else:
-            raise VerificationError(f"peel stuck on {M}")
-    if len(blocks) < 2 or len(blocks) % 2 != 0 or blocks[0][0] != "R":
-        raise VerificationError(f"unexpected block structure {blocks}")
-    return tuple(count for _, count in blocks)
 
 
 def _least_rotation(raw: tuple[int, ...]) -> tuple[CyclicWord, IntMatrix2]:
@@ -219,8 +195,8 @@ def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
     require_anosov(L)
     sign = 1 if L.trace() > 0 else -1
     M = L if sign == 1 else -L
-    W, U = _reduce_to_positive_word(M)
-    word, V = _least_rotation(_peel_word(W))
+    raw, U = _reduce_to_positive_word(M)
+    word, V = _least_rotation(raw)
     T = U @ V
     if T.inverse() @ M @ T != word.matrix():
         raise VerificationError("word reduction transform failed to verify")
@@ -398,7 +374,7 @@ def classes_of_trace(t: int) -> list[IntMatrix2]:
         for b in range(d, n // d + 1):
             if n % b == 0:
                 W = IntMatrix2(t - d, b, n // b, d)
-                word = _peel_word(W)
+                word = _reduce_to_positive_word(W)[0]
                 if word == min(_pair_rotations(word)):
                     found.append((word, W))
     return [W for _, W in sorted(found)]

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from solvsplit import IntMatrix2, QuadraticIrrational, cli, format_matrix, parse_matrix
+from solvsplit import (
+    IntMatrix2,
+    MonodromyForm,
+    QuadraticIrrational,
+    classification,
+    cli,
+    format_matrix,
+    parse_matrix,
+)
 from solvsplit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, _emit, run
 
 from _helpers import long_conjugator
@@ -267,6 +275,21 @@ class TestCliContract:
         assert code == EXIT_VERIFY
         assert captured.out == ""
         assert "forced failure" in captured.err
+
+    def test_failed_unit_curve_recheck_exits_4(self, capsys, monkeypatch):
+        # 2x^2 + 2y^2 takes no unit value, so classify's re-check of the curve fails
+        monkeypatch.setattr(classification, "monodromy_form", lambda L: MonodromyForm(2, 0, 2))
+        assert run(["classify", "-m", "5,-1;1,0"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verification failure" in captured.err
+
+    def test_failed_involution_identities_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(classification, "RHO", IntMatrix2(1, 0, 0, 1))
+        assert run(["classify", "-m", "2,1;1,1"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verification failure" in captured.err
 
     def test_diagnostics_never_on_stdout(self, capsys):
         run(["classify", "-m", "not-a-matrix"])

@@ -26,11 +26,10 @@ from solvsplit.conjugacy import (
     CyclicWord,
     _canonical_data,
     _mirror,
-    _peel_word,
     _reduce_to_positive_word,
     inverse_word,
 )
-from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall, VerificationError
+from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall
 
 from _helpers import (
     conjugator_search,
@@ -223,8 +222,9 @@ class TestClassesOfTrace:
         for t in range(3, 41):
             for word in words_of_trace(t):
                 for i in range(0, len(word), 2):
-                    W = word_product(word[i:] + word[:i])
-                    assert _reduce_to_positive_word(W) == (W, IDENTITY), word
+                    rotation = word[i:] + word[:i]
+                    W = word_product(rotation)
+                    assert _reduce_to_positive_word(W) == (rotation, IDENTITY), word
 
     def test_members_land_in_enumerated_classes(self):
         rng = random.Random(27)
@@ -324,17 +324,41 @@ class TestLargeInputs:
         assert abs(monodromy_form(L).evaluate(*report.witness_curve.vector())) == 1
 
 
+def _is_primitive(word: tuple[int, ...]) -> bool:
+    return all(word[i:] + word[:i] != word for i in range(2, len(word), 2))
+
+
+class TestWordEngine:
+    """One continued-fraction loop reduces the matrix and reads its word."""
+
+    def test_proper_powers_read_the_full_word(self):
+        # the fixed point comes back after the primitive period; the word of
+        # U^n must still come out n times as long
+        rng = random.Random(35)
+        for t in range(3, 13):
+            for exps in sorted(filter(_is_primitive, words_of_trace(t))):
+                for n, bits, sign in product(range(2, 6), (64, 1000), (1, -1)):
+                    W = word_product(exps * n)
+                    K = long_conjugator(rng, bits)
+                    L = K @ (W if sign == 1 else -W) @ K.inverse()
+                    assert cyclic_word(L) == (sign, CyclicWord.canonical(exps * n)), (exps, n)
+
+    def test_huge_blocks_are_read_whole(self):
+        exps = (10**15, 7, 1, 10**9)
+        assert _reduce_to_positive_word(word_product(exps)) == (exps, IDENTITY)
+
+    def test_all_ones_input_stays_within_the_step_cap(self):
+        # golden-ratio quotients are the most steps per bit, in both the
+        # reduction (a fixed point whose expansion starts with 6000 ones) and
+        # the word read (2000 blocks)
+        K = mat_pow(R @ S, 3000) @ R
+        L = K @ mat_pow(R @ S, 1000) @ K.inverse()
+        assert max(abs(e) for e in L.entries()).bit_length() > 9000
+        assert cyclic_word(L) == (1, CyclicWord((1, 1) * 1000))
+        assert cyclic_word(-L) == (-1, CyclicWord((1, 1) * 1000))
+
+
 class TestEngineChecks:
-    def test_peel_rejects_non_words(self):
-        with pytest.raises(VerificationError, match="stuck"):
-            _peel_word(IntMatrix2(3, -1, 1, 0))
-        # S R is positive but starts with an S-block
-        with pytest.raises(VerificationError, match="block structure"):
-            _peel_word(S @ R)
-
-    def test_peel_blocks(self):
-        assert _peel_word(word_product((10**15, 7, 1, 10**9))) == (10**15, 7, 1, 10**9)
-
     def test_checks_survive_optimized_mode(self):
         code = (
             "from solvsplit import IntMatrix2\n"
