@@ -9,7 +9,11 @@ reduce the attracting fixed point (a quadratic surd, handled with integer
 arithmetic only).  Once the conjugate is a positive word, the same continued
 fraction is purely periodic and reads the word off one whole block R^k or
 S^k per quotient, so one loop of steps linear in the input's bit length
-both reduces the matrix and spells its word.
+both reduces the matrix and spells its word.  On long entries the reducing
+steps are first taken in batches read off the entries' top bits (Lehmer's
+method), each batch applied to the full entries at once.  The steps are the
+same, and so are the word and the witnesses; the full-length work drops from
+several operations per step to one composition per batch.
 The pair (trace sign, canonical word) is a complete conjugacy invariant, and
 the accumulated conjugations give explicit witnesses.
 
@@ -50,7 +54,8 @@ class CyclicWord:
 
     Stored as the exponent tuple (a1, b1, ..., ak, bk).  Two words name the
     same conjugacy class iff one is a rotation of the other by whole pairs;
-    `canonical` picks the lexicographically least such rotation.
+    `canonical` picks the lexicographically least such rotation, in one
+    linear scan.
     """
 
     exponents: tuple[int, ...]
@@ -63,7 +68,8 @@ class CyclicWord:
 
     @staticmethod
     def canonical(exponents: tuple[int, ...]) -> "CyclicWord":
-        return CyclicWord(min(_pair_rotations(exponents)))
+        i = 2 * _least_pair_start(exponents)
+        return CyclicWord(exponents[i:] + exponents[:i])
 
     def matrix(self) -> IntMatrix2:
         """Multiply the word out exactly."""
@@ -102,8 +108,33 @@ class ConjugacyResult:
         return self.conjugate
 
 
-def _pair_rotations(exponents: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [exponents[i:] + exponents[:i] for i in range(0, len(exponents), 2)]
+def _least_pair_start(exponents: tuple[int, ...]) -> int:
+    """The first pair index at which the least pair rotation starts.
+
+    Pairs compare as tuples, so this is the least rotation of the sequence of
+    pairs, found in linear time as Booth's algorithm does (Inf. Process.
+    Lett. 10, 1980), here by the two-pointer scan: candidate starts i < j
+    agree on k pairs; on a mismatch the larger one loses, and so do the k
+    starts after it, each beaten by the start as far after the smaller one.
+    i + j + k grows each step and each stays below n, so the scan takes
+    under 3n steps and holds one list of the n pairs.
+    """
+    pairs = list(zip(exponents[::2], exponents[1::2]))
+    n = len(pairs)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        x, y = pairs[(i + k) % n], pairs[(j + k) % n]
+        if x == y:
+            k += 1
+            continue
+        if x > y:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        i, j, k = min(i, j), max(i, j), 0
+    return i
 
 
 # -- quadratic surd steps, pure integer arithmetic ----------------------------
@@ -121,6 +152,96 @@ def _surd_floor(p: int, q: int, sd: int) -> int:
     if q > 0:
         return (p + sd) // q
     return (-p - sd - 1) // (-q)
+
+
+# Bits kept from the top of p + isqrt(d) and q for a batch of steps.  A batch
+# takes about half a window of quotient bits and shrinks q by about a window;
+# its steps run on window-sized ints, so a wider window means fewer batches
+# but dearer steps.  128 to 384 bits time alike on 1k- to 22k-bit entries
+# (CPython 3.11).
+_WINDOW = 256
+
+
+def _batch(n: int, q: int) -> Optional[tuple[int, int, int, int]]:
+    """The steps the top bits decide for x = (n + theta) / q, 0 < theta < 1.
+
+    x lies strictly between two fractions (the ends) of window-sized ints,
+    bounds on the top bits of n + theta and of q; either may be negative.
+    Both ends take the reduction loop's own R and S steps at once, a Euclid
+    on each end's numerator and denominator, and a quotient is taken only
+    when both ends give it (Lehmer's two-quotient test): floor and 1/x are
+    monotone and x lies between the ends, so it is x's quotient too.  An end
+    that hits 0 or infinity stops the batch.  Returns the product X of the
+    steps up to the last S step, where x > 1, or None if no S step is proved.
+    The ends' ints are at most 2^_WINDOW, so by Lame each Euclid has under
+    1.45 (_WINDOW + 2) quotients, two per pass: the loop ends before its bound.
+    """
+    if q < 0:
+        n, q = -n - 1, -q  # x = (-n - 1 + (1 - theta)) / -q
+    s = max(abs(n).bit_length(), q.bit_length(), _WINDOW) - _WINDOW
+    n_lo, n_hi = n >> s, -((-n - 1) >> s)  # n_lo 2^s <= n < n + 1 <= n_hi 2^s
+    q_lo, q_hi = q >> s, -(-q >> s)
+    if not q_lo:
+        return None
+    u1, v1 = n_lo, q_hi if n_lo >= 0 else q_lo
+    u2, v2 = n_hi, q_lo if n_hi >= 0 else q_hi
+    al, be, ga, de = 1, 0, 0, 1
+    X = None
+    # each pass takes an R and an S quotient of a Euclid on window-sized ints;
+    # only the first R quotient can be 0, when 0 < x < 1
+    for _ in range(_WINDOW):
+        k, u1 = divmod(u1, v1)
+        k2, u2 = divmod(u2, v2)
+        if k != k2 or not (u1 and u2):
+            break
+        be, de = be + k * al, de + k * ga  # times R^k
+        k, v1 = divmod(v1, u1)
+        k2, v2 = divmod(v2, u2)
+        if k != k2:
+            break
+        al, ga = al + k * be, ga + k * de  # times S^k
+        X = al, be, ga, de
+        if not (v1 and v2):
+            break
+    return X
+
+
+def _batched_reduction(
+    p: int, q: int, r: int, t: int, sd: int, cap: int
+) -> tuple[int, int, int, tuple[int, int, int, int]]:
+    """The reduction loop's steps in batches, while |q| and |r| have more bits than 2t.
+
+    Returns the state (p, q, r) and U = (a, b, c, d) to go on from one step
+    at a time.  A reduced state has 2 <= q, r < 2t, so each batch starts
+    from an unreduced one.  A batch X is one conjugation: (p, q, r) is
+    composed with X as the form q x^2 - 2p xy - r y^2, and U becomes U X.
+    The stop test holds only where x > 1, after an S step, and once it holds
+    it holds after every later S step (those conjugates are the word's pair
+    rotations), so a batch, which ends after an S step, passed a reduced
+    state exactly when it ends on one.  Then it is dropped and the loop
+    takes its steps one at a time.  Each batch takes at least one step, so
+    cap batches are more than the reduction takes.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    cut = t.bit_length() + 1
+    for _ in range(cap):
+        if min(abs(q), abs(r)).bit_length() <= cut:
+            break
+        X = _batch(p + sd, q)
+        if X is None:
+            # a quotient too long for the window: take one step exactly
+            k = _surd_floor(p, q, sd)
+            X = (1, k, 0, 1) if k else (1, 0, _surd_floor(-p, r, sd), 1)
+        al, be, ga, de = X
+        q2 = q * (al * al) - p * (2 * al * ga) - r * (ga * ga)
+        p2 = -q * (al * be) + p * (al * de + be * ga) + r * (ga * de)
+        r2 = -q * (be * be) + p * (2 * be * de) + r * (de * de)
+        if 2 <= t - p2 <= min(q2, r2):
+            # the batch passed the first reduced state: redo it step by step
+            break
+        p, q, r = p2, q2, r2
+        a, b, c, d = a * al + b * ga, a * be + b * de, c * al + d * ga, c * be + d * de
+    return p, q, r, (a, b, c, d)
 
 
 def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2]:
@@ -141,6 +262,15 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2
     included.  A word of n blocks has top-left entry at least phi^(n-1) and
     its entries are below t, so the read takes under 1.45 steps per bit; the
     loop allows 8 steps per entry bit for both phases.
+
+    When q and r have a window's bits more than t, `_batched_reduction`
+    first takes the reduction's steps in batches, as Lehmer batches Euclid
+    (Amer. Math. Monthly 45, 1938; Knuth, TAOCP vol. 2, 4.5.2, Algorithm L).
+    Each quotient is proved by the two-quotient test on the window's ends,
+    so the steps, U and the word are exactly those of this loop; a batch that
+    ends on a reduced state is redone here one step at a time.  A batch costs
+    window-sized int steps and one composition with the full entries, where
+    this loop costs several full-length operations per step.
     """
     # hyperbolic integer matrices are never triangular
     if M.c == 0:
@@ -149,9 +279,12 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2
     sd = math.isqrt(t * t - 4)
     p, q, r = M.a - M.d, 2 * M.c, 2 * M.b
     a, b, c, d = 1, 0, 0, 1  # U, then the word read once U is found
+    cap = 8 * max(e.bit_length() for e in M.entries()) + 32
+    if min(abs(q), abs(r)).bit_length() > t.bit_length() + _WINDOW:
+        p, q, r, (a, b, c, d) = _batched_reduction(p, q, r, t, sd, cap)
     U = None
     exponents: list[int] = []
-    for _ in range(8 * max(e.bit_length() for e in M.entries()) + 32):
+    for _ in range(cap):
         if U is None:
             if 2 <= t - p <= min(q, r):
                 U = IntMatrix2(a, b, c, d)
@@ -183,11 +316,10 @@ def _mat_gen_pow(gen: IntMatrix2, k: int) -> IntMatrix2:
 
 def _least_rotation(raw: tuple[int, ...]) -> tuple[CyclicWord, IntMatrix2]:
     """The least pair rotation of a word, and V with V^-1 (raw matrix) V = its matrix."""
-    rotations = _pair_rotations(raw)
-    best = min(range(len(rotations)), key=rotations.__getitem__)
+    i = 2 * _least_pair_start(raw)
     # rotating by one pair conjugates the word matrix by its leading blocks
-    V = CyclicWord(raw[: 2 * best]).matrix() if best else IDENTITY
-    return CyclicWord(rotations[best]), V
+    V = CyclicWord(raw[:i]).matrix() if i else IDENTITY
+    return CyclicWord(raw[i:] + raw[:i]), V
 
 
 def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
@@ -375,6 +507,6 @@ def classes_of_trace(t: int) -> list[IntMatrix2]:
             if n % b == 0:
                 W = IntMatrix2(t - d, b, n // b, d)
                 word = _reduce_to_positive_word(W)[0]
-                if word == min(_pair_rotations(word)):
+                if _least_pair_start(word) == 0:
                     found.append((word, W))
     return [W for _, W in sorted(found)]

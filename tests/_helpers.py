@@ -41,6 +41,45 @@ def least_pair_rotation(exponents: tuple[int, ...]) -> tuple[int, ...]:
     return min(exponents[i:] + exponents[:i] for i in range(0, len(exponents), 2))
 
 
+def reduce_step_by_step(M: IntMatrix2) -> tuple[tuple[int, ...], tuple[int, int, int, int]]:
+    """The reduction one quotient at a time: (exponents, entries of U).
+
+    Plain tuple arithmetic, no library calls.  The attracting fixed point
+    x = (p + sqrt(t^2 - 4)) / q of the current conjugate, (p, q, r) =
+    (a - d, 2c, 2b), loses floor(x) by R^-floor(x) unless 0 < x < 1, where
+    S^-floor(1/x) is applied instead.  U is the product of the inverses; it
+    is fixed at the first conjugate with 2 <= t - p <= min(q, r), and the
+    quotients after it are the word, read until its matrix has trace t.
+    """
+    from math import isqrt
+
+    t = M.a + M.d
+    sd = isqrt(t * t - 4)
+
+    def floor_surd(u, v):  # floor((u + sqrt(t^2 - 4)) / v), irrational
+        return (u + sd) // v if v > 0 else (-u - sd - 1) // -v
+
+    p, q, r = M.a - M.d, 2 * M.c, 2 * M.b
+    mat = (1, 0, 0, 1)
+    U = None
+    exponents = []
+    while True:
+        if U is None and 2 <= t - p <= min(q, r):
+            U, mat = mat, (1, 0, 0, 1)
+        elif U is not None and mat[0] + mat[3] == t:
+            return tuple(exponents), U
+        k = floor_surd(p, q)
+        if k:
+            p, q, r = p - k * q, q, r + 2 * k * p - k * k * q
+            mat = (mat[0], mat[1] + k * mat[0], mat[2], mat[3] + k * mat[2])
+        else:
+            k = floor_surd(-p, r)  # 1/x = (-p + sqrt(t^2 - 4)) / r
+            p, q, r = p + k * r, q - 2 * k * p - k * k * r, r
+            mat = (mat[0] + k * mat[1], mat[1], mat[2] + k * mat[3], mat[3])
+        if U is not None:
+            exponents.append(k)
+
+
 def words_of_trace(t: int) -> set[tuple[int, ...]]:
     """Least pair rotations of every positive word R^a1 S^b1 ... of trace t.
 

@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,10 @@ from solvsplit.conjugacy import (
     R,
     S,
     CyclicWord,
+    _WINDOW,
+    _batch,
     _canonical_data,
+    _least_pair_start,
     _mirror,
     _reduce_to_positive_word,
     inverse_word,
@@ -33,11 +38,13 @@ from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall
 
 from _helpers import (
     conjugator_search,
+    gen_power,
     least_pair_rotation,
     letter_product,
     long_conjugator,
     random_anosov,
     random_sl2,
+    reduce_step_by_step,
     unit_exists_brute,
     word_product,
     words_of_trace,
@@ -57,6 +64,36 @@ class TestCyclicWord:
 
     def test_canonical_rotation(self):
         assert CyclicWord.canonical((2, 1, 1, 3)).exponents == (1, 3, 2, 1)
+
+    def test_least_pair_start_is_the_first_least_rotation(self):
+        # the first start matters: a proper power's starts give different T
+        rng = random.Random(41)
+        words = [w[i:] + w[:i] for t in range(3, 41) for w in words_of_trace(t)
+                 for i in range(0, len(w), 2)]
+        words += [tuple(rng.randint(1, 4) for _ in range(2 * rng.randint(1, 12)))
+                  for _ in range(2000)]
+        for _ in range(2000):
+            base = tuple(rng.randint(1, 3) for _ in range(2 * rng.randint(1, 4)))
+            n = rng.randint(2, 6)
+            i = 2 * rng.randrange(len(base) // 2 * n)
+            words.append((base * n)[i:] + (base * n)[:i])
+        for w in words:
+            i = 2 * _least_pair_start(w)
+            least = least_pair_rotation(w)
+            assert w[i:] + w[:i] == least, w
+            assert all(w[j:] + w[:j] != least for j in range(0, i, 2)), w
+            assert CyclicWord.canonical(w).exponents == least
+
+    def test_canonical_word_of_a_long_power_stays_small(self):
+        # 3000 pairs: every pair rotation at once would take over 100 MiB
+        L = mat_pow(R @ S, 3000)
+        tracemalloc.start()
+        try:
+            assert cyclic_word(L) == (1, CyclicWord((1, 1) * 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
     def test_matrix_materialization(self):
         assert CyclicWord((1, 1)).matrix() == R @ S == IntMatrix2(2, 1, 1, 1)
@@ -356,6 +393,129 @@ class TestWordEngine:
         assert max(abs(e) for e in L.entries()).bit_length() > 9000
         assert cyclic_word(L) == (1, CyclicWord((1, 1) * 1000))
         assert cyclic_word(-L) == (-1, CyclicWord((1, 1) * 1000))
+
+    def test_55k_bit_all_ones_conjugate(self):
+        # about 38600 reduction steps, nearly all taken in batches
+        K = mat_pow(R @ S, 19300) @ R
+        L = K @ mat_pow(R @ S, 1000) @ K.inverse()
+        assert 54_000 < max(abs(e) for e in L.entries()).bit_length() < 56_000
+        assert cyclic_word(L) == (1, CyclicWord((1, 1) * 1000))
+
+
+def _conjugator(rng, bits: int, max_exp: int) -> IntMatrix2:
+    """Random R/S product, exponents up to max_exp, grown to at least `bits` bits."""
+    K = IDENTITY
+    while max(abs(e) for e in K.entries()).bit_length() < bits:
+        K = K @ random_sl2(rng, factors=4, max_exp=max_exp)
+    return K
+
+
+def _just_above_batching(rng, W: IntMatrix2) -> IntMatrix2:
+    """K W K^-1 whose min(|2b|, |2c|) passes the batching size by 1 to 24 bits.
+
+    K grows one small factor at a time, so the conjugate lands a batch or two
+    from the reduced state, where a batch may run past it.
+    """
+    target = W.trace().bit_length() + _WINDOW + rng.randint(1, 24)
+    K = IDENTITY
+    while True:
+        L = K @ W @ K.inverse()
+        if min(abs(2 * L.b), abs(2 * L.c)).bit_length() > target:
+            return L
+        K = K @ gen_power(rng.choice("RS"), rng.randint(1, 3) * rng.choice((1, -1)))
+
+
+def _oracle_corpus():
+    """Positive-trace inputs for `_reduce_to_positive_word`, each with a label."""
+    rng = random.Random(42)
+    D = IntMatrix2(1, 0, 0, -1)
+    small = [(2, 1), (1, 1), (3, 5, 1, 2), (7, 1)]
+    corpus = []
+    # entries from 10^2 to 3*10^4 bits; quotients up to 9 or 999, blocks up to 10^15
+    for bits, max_exp in product((50, 200, 700, 2000, 6000), (9, 999)):
+        for _ in range(6):
+            exps = rng.choice(small + [(rng.randint(1, 10**15), rng.randint(1, 999))])
+            K = _conjugator(rng, bits, max_exp)
+            corpus.append(("random", K @ word_product(exps) @ K.inverse()))
+    for max_exp in (9, 999):
+        K = _conjugator(rng, 15_000, max_exp)
+        corpus.append(("30k bits", K @ word_product((5, 3)) @ K.inverse()))
+    # all-ones conjugators, the most steps per bit
+    for m, tail in product((100, 1000, 4000), (R, S, IDENTITY)):
+        K = mat_pow(R @ S, m) @ tail
+        corpus.append(("all ones", K @ word_product((4, 1)) @ K.inverse()))
+    # proper powers
+    for exps, n in product(small[:3], (2, 3, 5)):
+        K = _conjugator(rng, rng.choice((300, 3000)), rng.choice((9, 999)))
+        corpus.append(("power", K @ word_product(exps * n) @ K.inverse()))
+    # already reduced, the batching size passed or not
+    for exps in small + [(10**15, 7, 1, 10**9), (1, 1) * 2000, (3, 1) * 400]:
+        corpus.append(("reduced", word_product(exps)))
+    # just above the batching size, where a batch can pass the reduced state
+    for _ in range(60):
+        exps = tuple(rng.randint(1, rng.choice((3, 999))) for _ in range(2 * rng.randint(1, 3)))
+        corpus.append(("threshold", _just_above_batching(rng, word_product(exps))))
+    # negated entries, for q < 0 and p + sqrt(d) < 0: D M D negates b and c,
+    # and M^-1 negates them and swaps a and d (a negative trace reaches the
+    # reduction already negated)
+    corpus += [(f"{label}, negated b, c", D @ M @ D) for label, M in corpus[::2]]
+    corpus += [(f"{label}, inverse", M.inverse()) for label, M in corpus[::3]]
+    return corpus
+
+
+class TestBatchedReduction:
+    """The batched reduction takes exactly the one-step-at-a-time loop's steps."""
+
+    def test_matches_the_step_oracle(self):
+        corpus = _oracle_corpus()
+        for label, M in corpus:
+            exps, U = reduce_step_by_step(M)
+            assert _reduce_to_positive_word(M) == (exps, IntMatrix2(*U)), label
+        # the corpus reaches the batches, both signs of q and of the numerator,
+        # and 3*10^4-bit entries
+        batched = [
+            M for _, M in corpus
+            if min(abs(2 * M.b), abs(2 * M.c)).bit_length() > M.trace().bit_length() + _WINDOW
+        ]
+        assert len(batched) > 200
+        assert sum(M.c < 0 for M in batched) > 50
+        sd = [isqrt(M.trace() ** 2 - 4) for M in batched]
+        assert sum(M.a - M.d + s < 0 for M, s in zip(batched, sd)) > 50
+        assert max(max(abs(e) for e in M.entries()).bit_length() for M in batched) > 30_000
+
+    def test_a_batch_holds_for_every_theta(self):
+        # _batch(n, q) proves its steps for all x = (n + theta) / q, 0 < theta < 1;
+        # they must be a prefix, ending on an S step, of the expansion of both
+        # theta = 2^-e and 1 - 2^-e, taken exactly on the rational x by Euclid
+        def prefixes(u, v):
+            X, found = (1, 0, 0, 1), set()
+            if v < 0:
+                u, v = -u, -v
+            k, u = divmod(u, v)
+            while u:
+                X = (X[0], X[1] + k * X[0], X[2], X[3] + k * X[2])
+                k, v = divmod(v, u)
+                X = (X[0] + k * X[1], X[1], X[2] + k * X[3], X[3])
+                found.add(X)
+                if not v:
+                    break
+                k, u = divmod(u, v)
+            return found
+
+        rng = random.Random(43)
+        batches = 0
+        for _ in range(600):
+            bits = rng.randint(_WINDOW + 1, 4 * _WINDOW)
+            n = rng.getrandbits(bits) * rng.choice((1, -1))
+            q = rng.getrandbits(bits + rng.randint(-24, 24)) * rng.choice((1, -1)) or 1
+            X = _batch(n, q)
+            if X is None:
+                continue
+            batches += 1
+            e = bits + 64
+            for num in ((n << e) + 1, ((n + 1) << e) - 1):
+                assert X in prefixes(num, q << e), (n, q)
+        assert batches > 400
 
 
 class TestEngineChecks:
