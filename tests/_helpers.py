@@ -133,11 +133,11 @@ def least_intertwiner_index(A, B, box: int) -> int:
     return best
 
 
-def long_conjugator(rng, bits: int) -> IntMatrix2:
+def long_conjugator(rng, bits: int, max_exp: int = 9) -> IntMatrix2:
     """Random SL(2,Z) word whose largest entry has at least `bits` bits."""
     K = IDENTITY
     while max(abs(e) for e in K.entries()).bit_length() < bits:
-        K = K @ random_sl2(rng, factors=8, max_exp=9)
+        K = K @ random_sl2(rng, factors=8, max_exp=max_exp)
     return K
 
 

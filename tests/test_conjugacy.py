@@ -402,14 +402,6 @@ class TestWordEngine:
         assert cyclic_word(L) == (1, CyclicWord((1, 1) * 1000))
 
 
-def _conjugator(rng, bits: int, max_exp: int) -> IntMatrix2:
-    """Random R/S product, exponents up to max_exp, grown to at least `bits` bits."""
-    K = IDENTITY
-    while max(abs(e) for e in K.entries()).bit_length() < bits:
-        K = K @ random_sl2(rng, factors=4, max_exp=max_exp)
-    return K
-
-
 def _just_above_batching(rng, W: IntMatrix2) -> IntMatrix2:
     """K W K^-1 whose min(|2b|, |2c|) passes the batching size by 1 to 24 bits.
 
@@ -435,10 +427,10 @@ def _oracle_corpus():
     for bits, max_exp in product((50, 200, 700, 2000, 6000), (9, 999)):
         for _ in range(6):
             exps = rng.choice(small + [(rng.randint(1, 10**15), rng.randint(1, 999))])
-            K = _conjugator(rng, bits, max_exp)
+            K = long_conjugator(rng, bits, max_exp)
             corpus.append(("random", K @ word_product(exps) @ K.inverse()))
     for max_exp in (9, 999):
-        K = _conjugator(rng, 15_000, max_exp)
+        K = long_conjugator(rng, 15_000, max_exp)
         corpus.append(("30k bits", K @ word_product((5, 3)) @ K.inverse()))
     # all-ones conjugators, the most steps per bit
     for m, tail in product((100, 1000, 4000), (R, S, IDENTITY)):
@@ -446,7 +438,7 @@ def _oracle_corpus():
         corpus.append(("all ones", K @ word_product((4, 1)) @ K.inverse()))
     # proper powers
     for exps, n in product(small[:3], (2, 3, 5)):
-        K = _conjugator(rng, rng.choice((300, 3000)), rng.choice((9, 999)))
+        K = long_conjugator(rng, rng.choice((300, 3000)), rng.choice((9, 999)))
         corpus.append(("power", K @ word_product(exps * n) @ K.inverse()))
     # already reduced, the batching size passed or not
     for exps in small + [(10**15, 7, 1, 10**9), (1, 1) * 2000, (3, 1) * 400]:
