@@ -494,7 +494,9 @@ def classes_of_trace(t: int) -> list[IntMatrix2]:
     rotations.  A reduced [[t-d, b], [c, d]] has bc = n = (t-d)d - 1 with
     b, c >= d (so d < t/2), so the divisors b of n in [d, n/d] list each
     once; the one whose word is its own least pair rotation represents the
-    class.  Sorted by word; about t^2/4 divisibility tests.
+    class.  Sorted by word; about t^2/4 divisibility tests.  A word of trace
+    t has O(log t) pairs, so comparing it with each of its pair rotations,
+    stopping at the first smaller one, is cheaper here than the linear scan.
     """
     if abs(t) <= 2:
         raise TraceTooSmall(f"|trace| must be >= 3, got {t}")
@@ -507,6 +509,9 @@ def classes_of_trace(t: int) -> list[IntMatrix2]:
             if n % b == 0:
                 W = IntMatrix2(t - d, b, n // b, d)
                 word = _reduce_to_positive_word(W)[0]
-                if _least_pair_start(word) == 0:
+                for i in range(2, len(word), 2):
+                    if word[i:] + word[:i] < word:
+                        break
+                else:
                     found.append((word, W))
     return [W for _, W in sorted(found)]

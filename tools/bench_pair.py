@@ -1,12 +1,13 @@
 """Run perfbench/run.py alternately in two checkouts and write one bench file.
 
-    python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH_<n>.json \\
-        [--workload deep --workload cli-mix] [--pairs 10] [--seconds 50] [--first-seed 101]
+    python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH_<n>.json
 
 Each checkout is a full tree with its own perfbench/ (a `git clone` or
-`git archive` of the commit).  For every workload, pair i runs seed
-first_seed + i on both sides; the parent goes first in even pairs and the
-change in odd ones, so drift in the host's speed falls on both sides alike.
+`git archive` of the commit).  The workloads and the run length are the
+ones the change's BENCHMARK.json declares.  For every workload, pair i of
+PAIRS runs seed FIRST_SEED + i on both sides; the parent goes first in even
+pairs and the change in odd ones, so drift in the host's speed falls on
+both sides alike.
 The bench file records the commits, the interpreter and the machine, the
 seeds, and for each end-to-end metric the values, median and interquartile
 range on each side, the change's median relative to the parent's, and how
@@ -24,6 +25,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+FIRST_SEED = 101
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -59,18 +62,13 @@ def main() -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workload", action="append", dest="workloads")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=50)
-    ap.add_argument("--first-seed", type=int, default=101)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for an interquartile range")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in declared["workloads"]]
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
+    seeds = [FIRST_SEED + i for i in range(PAIRS)]
 
     runs = {side: [] for side in SIDES}
     report = {}
@@ -78,7 +76,7 @@ def main() -> int:
         results = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                res = run_once(trees[side], workload, seed, args.seconds)
+                res = run_once(trees[side], workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: ops_per_s "
                       f"{res['metrics']['ops_per_s']['value']:.1f}", file=sys.stderr)
                 results[side].append(res)
@@ -108,9 +106,9 @@ def main() -> int:
         "machine": provenance["machine"],
         "platform": provenance["platform"],
         "nproc": provenance["nproc"],
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": seeds,
-        "order": ["parent first" if i % 2 == 0 else "change first" for i in range(args.pairs)],
+        "order": ["parent first" if i % 2 == 0 else "change first" for i in range(PAIRS)],
         "workloads": report,
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
