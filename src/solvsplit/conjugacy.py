@@ -9,11 +9,11 @@ reduce the attracting fixed point (a quadratic surd, handled with integer
 arithmetic only).  Once the conjugate is a positive word, the same continued
 fraction is purely periodic and reads the word off one whole block R^k or
 S^k per quotient, so one loop of steps linear in the input's bit length
-both reduces the matrix and spells its word.  On long entries the reducing
-steps are first taken in batches read off the entries' top bits (Lehmer's
-method), each batch applied to the full entries at once.  The steps are the
-same, and so are the word and the witnesses; the full-length work drops from
-several operations per step to one composition per batch.
+both reduces the matrix and spells its word.  On long entries the same loop
+takes its reducing steps in batches read off the entries' top bits
+(Lehmer's method), each batch applied to the full entries at once.  The
+steps are the same, and so are the word and the witnesses; the full-length
+work drops from several operations per step to one composition per batch.
 The pair (trace sign, canonical word) is a complete conjugacy invariant, and
 the accumulated conjugations give explicit witnesses.
 
@@ -206,44 +206,6 @@ def _batch(n: int, q: int) -> Optional[tuple[int, int, int, int]]:
     return X
 
 
-def _batched_reduction(
-    p: int, q: int, r: int, t: int, sd: int, cap: int
-) -> tuple[int, int, int, tuple[int, int, int, int]]:
-    """The reduction loop's steps in batches, while |q| and |r| have more bits than 2t.
-
-    Returns the state (p, q, r) and U = (a, b, c, d) to go on from one step
-    at a time.  A reduced state has 2 <= q, r < 2t, so each batch starts
-    from an unreduced one.  A batch X is one conjugation: (p, q, r) is
-    composed with X as the form q x^2 - 2p xy - r y^2, and U becomes U X.
-    The stop test holds only where x > 1, after an S step, and once it holds
-    it holds after every later S step (those conjugates are the word's pair
-    rotations), so a batch, which ends after an S step, passed a reduced
-    state exactly when it ends on one.  Then it is dropped and the loop
-    takes its steps one at a time.  Each batch takes at least one step, so
-    cap batches are more than the reduction takes.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    cut = t.bit_length() + 1
-    for _ in range(cap):
-        if min(abs(q), abs(r)).bit_length() <= cut:
-            break
-        X = _batch(p + sd, q)
-        if X is None:
-            # a quotient too long for the window: take one step exactly
-            k = _surd_floor(p, q, sd)
-            X = (1, k, 0, 1) if k else (1, 0, _surd_floor(-p, r, sd), 1)
-        al, be, ga, de = X
-        q2 = q * (al * al) - p * (2 * al * ga) - r * (ga * ga)
-        p2 = -q * (al * be) + p * (al * de + be * ga) + r * (ga * de)
-        r2 = -q * (be * be) + p * (2 * be * de) + r * (de * de)
-        if 2 <= t - p2 <= min(q2, r2):
-            # the batch passed the first reduced state: redo it step by step
-            break
-        p, q, r = p2, q2, r2
-        a, b, c, d = a * al + b * ga, a * be + b * de, c * al + d * ga, c * be + d * de
-    return p, q, r, (a, b, c, d)
-
-
 def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2]:
     """Conjugate trace >= 3 input into a positive R/S word, and read the word.
 
@@ -263,14 +225,23 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2
     its entries are below t, so the read takes under 1.45 steps per bit; the
     loop allows 8 steps per entry bit for both phases.
 
-    When q and r have a window's bits more than t, `_batched_reduction`
-    first takes the reduction's steps in batches, as Lehmer batches Euclid
-    (Amer. Math. Monthly 45, 1938; Knuth, TAOCP vol. 2, 4.5.2, Algorithm L).
-    Each quotient is proved by the two-quotient test on the window's ends,
-    so the steps, U and the word are exactly those of this loop; a batch that
-    ends on a reduced state is redone here one step at a time.  A batch costs
-    window-sized int steps and one composition with the full entries, where
-    this loop costs several full-length operations per step.
+    While q and r have more bits than 2t, having had a window's bits more
+    than t at entry, the reducing steps are taken in batches, as Lehmer
+    batches Euclid (Amer. Math. Monthly 45, 1938; Knuth, TAOCP vol. 2,
+    4.5.2, Algorithm L).  Each quotient of a batch X is proved by the
+    two-quotient test on the window's ends, so the steps, U and the word are
+    exactly this loop's.  X is one conjugation: (p, q, r) is composed with X
+    as the form q x^2 - 2p xy - r y^2, and U becomes U X.  A reduced state
+    has 2 <= q, r < 2t, so each batch starts from an unreduced one.  The
+    stop test holds only where x > 1, after an S step, and once it holds it
+    holds after every later S step (those conjugates are the word's pair
+    rotations), so a batch, which ends after an S step, passed a reduced
+    state exactly when it ends on one.  Then it is dropped and the loop
+    takes its steps one at a time; a quotient too long for the window is
+    one step too.  A batch costs window-sized int steps and one composition
+    with the full entries, where a step costs several full-length
+    operations.  Each batch takes at least one step, so the one bound
+    covers batches and steps together.
     """
     # hyperbolic integer matrices are never triangular
     if M.c == 0:
@@ -279,13 +250,26 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2
     sd = math.isqrt(t * t - 4)
     p, q, r = M.a - M.d, 2 * M.c, 2 * M.b
     a, b, c, d = 1, 0, 0, 1  # U, then the word read once U is found
-    cap = 8 * max(e.bit_length() for e in M.entries()) + 32
-    if min(abs(q), abs(r)).bit_length() > t.bit_length() + _WINDOW:
-        p, q, r, (a, b, c, d) = _batched_reduction(p, q, r, t, sd, cap)
+    cut = t.bit_length() + 1  # a reduced state's q, r < 2t have at most this many bits
+    batching = min(abs(q), abs(r)).bit_length() > t.bit_length() + _WINDOW
     U = None
     exponents: list[int] = []
-    for _ in range(cap):
+    for _ in range(8 * max(e.bit_length() for e in M.entries()) + 32):
         if U is None:
+            if batching:
+                if min(abs(q), abs(r)).bit_length() <= cut:
+                    batching = False
+                elif (X := _batch(p + sd, q)) is not None:
+                    al, be, ga, de = X
+                    q2 = q * (al * al) - p * (2 * al * ga) - r * (ga * ga)
+                    p2 = -q * (al * be) + p * (al * de + be * ga) + r * (ga * de)
+                    r2 = -q * (be * be) + p * (2 * be * de) + r * (de * de)
+                    if not 2 <= t - p2 <= min(q2, r2):
+                        p, q, r = p2, q2, r2
+                        a, b, c, d = (a * al + b * ga, a * be + b * de,
+                                      c * al + d * ga, c * be + d * de)
+                        continue
+                    batching = False
             if 2 <= t - p <= min(q, r):
                 U = IntMatrix2(a, b, c, d)
                 a, b, c, d = 1, 0, 0, 1
@@ -330,7 +314,7 @@ def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
     raw, U = _reduce_to_positive_word(M)
     word, V = _least_rotation(raw)
     T = U @ V
-    if T.inverse() @ M @ T != word.matrix():
+    if T.det() != 1 or M @ T != T @ word.matrix():
         raise VerificationError("word reduction transform failed to verify")
     return sign, word, T
 

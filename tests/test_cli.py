@@ -15,10 +15,13 @@ from solvsplit import (
     QuadraticIrrational,
     classification,
     cli,
+    conjugacy,
+    cyclic_word,
     format_matrix,
     parse_matrix,
 )
 from solvsplit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, _emit, run
+from solvsplit.errors import VerificationError
 
 from _helpers import long_conjugator
 
@@ -287,6 +290,20 @@ class TestCliContract:
     def test_failed_involution_identities_exit_4(self, capsys, monkeypatch):
         monkeypatch.setattr(classification, "RHO", IntMatrix2(1, 0, 0, 1))
         assert run(["classify", "-m", "2,1;1,1"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verification failure" in captured.err
+
+    def test_singular_conjugator_is_a_verification_failure(self, capsys, monkeypatch):
+        # [[5,2],[2,1]] is reduced, so with U = 2I the product check M T = T W
+        # holds and only the determinant shows the conjugator is no witness
+        reduce = conjugacy._reduce_to_positive_word
+        monkeypatch.setattr(
+            conjugacy, "_reduce_to_positive_word", lambda M: (reduce(M)[0], IntMatrix2(2, 0, 0, 2))
+        )
+        with pytest.raises(VerificationError):
+            cyclic_word(IntMatrix2(5, 2, 2, 1))
+        assert run(["classify", "-m", "5,2;2,1"]) == EXIT_VERIFY
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "verification failure" in captured.err

@@ -34,7 +34,7 @@ from solvsplit.conjugacy import (
     _reduce_to_positive_word,
     inverse_word,
 )
-from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall
+from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall, VerificationError
 
 from _helpers import (
     conjugator_search,
@@ -511,15 +511,28 @@ class TestBatchedReduction:
 
 
 class TestEngineChecks:
+    def test_the_step_bound_stops_a_reduction_that_never_ends(self):
+        # det 2: no conjugate is ever a word, so only the bound ends the loop,
+        # on the small input in single steps and on the long one in batches
+        M = IntMatrix2(3, 1, 1, 1)
+        K = long_conjugator(random.Random(44), 600)
+        L = K @ M @ K.inverse()
+        assert 1100 < max(abs(e) for e in L.entries()).bit_length() < 1300
+        assert min(abs(2 * L.b), abs(2 * L.c)).bit_length() > L.trace().bit_length() + _WINDOW
+        for N in (M, L):
+            with pytest.raises(VerificationError, match="did not terminate"):
+                _reduce_to_positive_word(N)
+
     def test_checks_survive_optimized_mode(self):
         code = (
             "from solvsplit import IntMatrix2\n"
             "from solvsplit.conjugacy import _reduce_to_positive_word\n"
             "from solvsplit.errors import VerificationError\n"
-            "try:\n"
-            "    _reduce_to_positive_word(IntMatrix2(1, 5, 0, 1))\n"
-            "except VerificationError:\n"
-            "    print('raised')\n"
+            "for M in (IntMatrix2(1, 5, 0, 1), IntMatrix2(3, 1, 1, 1)):\n"
+            "    try:\n"
+            "        _reduce_to_positive_word(M)\n"
+            "    except VerificationError:\n"
+            "        print('raised')\n"
         )
         out = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -528,7 +541,7 @@ class TestEngineChecks:
             check=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        assert out.stdout.strip() == "raised"
+        assert out.stdout.split() == ["raised", "raised"]
 
     def test_library_has_no_assert_statements(self):
         # assert vanishes under python -O; library checks must raise instead
