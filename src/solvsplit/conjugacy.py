@@ -269,6 +269,7 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2
                         a, b, c, d = (a * al + b * ga, a * be + b * de,
                                       c * al + d * ga, c * be + d * de)
                         continue
+                    # it passed the first reduced state: take its steps one at a time
                     batching = False
             if 2 <= t - p <= min(q, r):
                 U = IntMatrix2(a, b, c, d)
