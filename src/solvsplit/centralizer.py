@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conjugacy import symmetries
+from .conjugacy import reversal, symmetries
 from .core_algebra import IDENTITY, IntMatrix2, mat_pow, power_index
 from .errors import NotCommuting, NotExpressible, NotSL2, NotStandardForm
 
@@ -96,7 +96,7 @@ def is_reversible(L: IntMatrix2) -> ReversibilityResult:
     Defined for any Anosov matrix and decided on its canonical word; on
     standard forms the answer is |m| = 3.
     """
-    K = symmetries(L)[0]
+    K = reversal(L)
     return ReversibilityResult(K is not None, K)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .conjugacy import standard_conjugator
+from .conjugacy import _checked_unit, standard_conjugator
 from .core_algebra import (
     IDENTITY,
     IntMatrix2,
@@ -102,18 +102,18 @@ class ClassificationReport:
 def standard_form(L: IntMatrix2) -> Optional[StandardFormResult]:
     """Conjugate L onto [[t, -1], [1, 0]], or decide it cannot be done.
 
-    The conjugator is `conjugacy.standard_conjugator`'s; its determinant is
-    -1 when only the mirror [[t, 1], [-1, 0]] is SL-conjugate to L, and it
-    equals the value of Q_L on the unit curve.
+    The conjugator is `conjugacy.standard_conjugator`'s, which guards L; its
+    determinant is -1 when only the mirror [[t, 1], [-1, 0]] is SL-conjugate
+    to L, and it equals the value of Q_L on the unit curve.
     """
-    require_anosov(L)
-    t = L.trace()
     if (L.b, L.c, L.d) == (-1, 1, 0):
-        return StandardFormResult(t, IDENTITY, 1, 1)
+        require_anosov(L)
+        return StandardFormResult(L.trace(), IDENTITY, 1, 1)
     K = standard_conjugator(L)
     if K is None:
         return None
-    return StandardFormResult(t, K, K.det(), K.det())
+    det = K.det()
+    return StandardFormResult(L.trace(), K, det, det)
 
 
 def _transport(K: IntMatrix2, curve: PrimitiveSlope) -> PrimitiveSlope:
@@ -160,9 +160,10 @@ def _involution_data(m_signed: int) -> InvolutionData:
     )
 
 
-def splitting_descriptors(
-    L: IntMatrix2, sf: Optional[StandardFormResult]
-) -> tuple[tuple[SpineDescription, ...], Optional[InvolutionData]]:
+_Spines = tuple[tuple[SpineDescription, ...], Optional[InvolutionData]]
+
+
+def splitting_descriptors(L: IntMatrix2, sf: Optional[StandardFormResult]) -> _Spines:
     """Spines for the classified splittings, plus involution data at |t| = 3.
 
     Genus 2 spines are given in standard-form coordinates (the join of the
@@ -171,6 +172,12 @@ def splitting_descriptors(
     back to the input coordinates.
     """
     require_anosov(L)
+    if sf is not None and sf.conjugator @ L @ sf.conjugator.inverse() != sf.target():
+        raise InconsistentWitness("supplied witness does not conjugate L to standard form")
+    return _spines(sf)
+
+
+def _spines(sf: Optional[StandardFormResult]) -> _Spines:
     if sf is None:
         spine = SpineDescription(
             kind="standard_genus3",
@@ -179,8 +186,6 @@ def splitting_descriptors(
             text=GENUS3_TEXT,
         )
         return (spine,), None
-    if sf.conjugator @ L @ sf.conjugator.inverse() != sf.target():
-        raise InconsistentWitness("supplied witness does not conjugate L to standard form")
     K = sf.conjugator
     alpha = PrimitiveSlope(0, 1)
     spines = [
@@ -217,13 +222,12 @@ def splitting_descriptors(
 def classify(L: IntMatrix2) -> ClassificationReport:
     """Full verdict: genus, splitting count, witnesses, spines, involutions.
 
-    Non-Anosov input is rejected; the manifold is then not a solvmanifold
-    and the dichotomy does not apply.
+    `standard_form` rejects non-Anosov input (not a solvmanifold, so the
+    dichotomy does not apply) and checks K; the curve is checked by Q_L = det K.
     """
-    require_anosov(L)
     t = L.trace()
     sf = standard_form(L)
-    spines, involution = splitting_descriptors(L, sf)
+    spines, involution = _spines(sf)
     annotations = [
         "splitting counts are consequences of the classification theorems; "
         "isotopies themselves are topological input, not machine-checked",
@@ -232,9 +236,8 @@ def classify(L: IntMatrix2) -> ClassificationReport:
         genus = 2
         count = 2 if abs(t) == 3 else 1
         splitting_type = "strongly_irreducible_genus2"
-        witness_curve = spines[0].transported_curves[0]
-        if abs(monodromy_form(L).evaluate(*witness_curve.vector())) != 1:
-            raise VerificationError("transported witness curve is not a unit curve")
+        v = spines[0].transported_curves[0].vector()
+        witness_curve = _checked_unit(monodromy_form(L), v, sf.unit_value).curve
         if sf.conjugator_det == -1:
             annotations.append(
                 "standard-form identification reverses orientation "

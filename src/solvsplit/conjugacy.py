@@ -20,9 +20,9 @@ the accumulated conjugations give explicit witnesses.
 This one reduction serves every decision here: conjugacy compares words,
 the standard form and its unit curve are read off the canonical word and its
 conjugator, and class enumeration lists reduced words rather than
-deduplicating by word.  It also yields the words of L^-1 and of the mirror
-diag(1, -1) L diag(1, -1), so reversibility, the GL(2,Z) retry and the
-det -1 commutant need no second one.
+deduplicating by word.  It also yields the words of L^-1, which decides
+reversibility, and of the mirror diag(1, -1) L diag(1, -1), which decides the
+GL(2,Z) retry and the det -1 commutant; `_conjugator` checks every conjugator.
 [[a, b], [c, d]] is reduced when d >= 1, b >= d and c >= d (then a >= b, c
 by ad - bc = 1): exactly the positive words that start with R and end with
 S.  So a class's reduced members are its word's pair rotations, and the
@@ -38,6 +38,7 @@ from typing import Optional
 from .core_algebra import (
     IDENTITY,
     IntMatrix2,
+    MonodromyForm,
     PrimitiveSlope,
     monodromy_form,
     require_anosov,
@@ -307,9 +308,9 @@ def _least_rotation(raw: tuple[int, ...]) -> tuple[CyclicWord, IntMatrix2]:
     return CyclicWord(raw[i:] + raw[:i]), V
 
 
-def _canonical_data(L: IntMatrix2) -> tuple[int, CyclicWord, IntMatrix2]:
-    """(sign, canonical word, T) with T^-1 (sign*L) T = word matrix."""
-    require_anosov(L)
+def _canonical_data(L: IntMatrix2, name: str = "matrix") -> tuple[int, CyclicWord, IntMatrix2]:
+    """(sign, canonical word, T) with T^-1 (sign*L) T = word matrix; guards L as `name`."""
+    require_anosov(L, name)
     sign = 1 if L.trace() > 0 else -1
     M = L if sign == 1 else -L
     raw, U = _reduce_to_positive_word(M)
@@ -373,8 +374,8 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     """
     if group not in ("sl", "gl"):
         raise ValueError(f"group must be 'sl' or 'gl', got {group!r}")
-    sign_a, word_a, T_a = _canonical_data(A)
-    sign_b, word_b, T_b = _canonical_data(B)
+    sign_a, word_a, T_a = _canonical_data(A, "A")
+    sign_b, word_b, T_b = _canonical_data(B, "B")
     invariants = ((sign_a, word_a), (sign_b, word_b))
     mirrored = group == "gl" and invariants[0] != invariants[1]
     if mirrored:
@@ -389,25 +390,36 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     return ConjugacyResult(True, K, group, *invariants)
 
 
-def symmetries(L: IntMatrix2) -> tuple[Optional[IntMatrix2], Optional[IntMatrix2]]:
-    """(K, E): K in SL(2,Z) with K L K^-1 = L^-1, and E of det -1 with E L = L E.
+def _reversal(L: IntMatrix2, word: CyclicWord, T: IntMatrix2) -> Optional[IntMatrix2]:
+    if inverse_word(word) != word:
+        return None
+    L_inv = L.inverse()
+    return _conjugator(L, L_inv, T, _canonical_data(L_inv)[2])
 
-    Each is None when none exists, as L's word decides: L is reversible
-    (reciprocal, in Sarnak's "Reciprocal geodesics", 2007) iff `inverse_word`
-    gives the word back, and E exists iff D L D has L's word.  E is built from
-    T, with L's sign: E(-L) = -E(L).  K is are_conjugate(L, L^-1)'s witness,
-    so only a reversible L pays a second reduction, of L^-1.
+
+def reversal(L: IntMatrix2) -> Optional[IntMatrix2]:
+    """K in SL(2,Z) with K L K^-1 = L^-1, or None when L is not reversible.
+
+    L is reversible (reciprocal, in Sarnak's "Reciprocal geodesics", 2007)
+    iff `inverse_word` gives its word back; only then is L^-1 reduced, for K.
+    """
+    _, word, T = _canonical_data(L)
+    return _reversal(L, word, T)
+
+
+def symmetries(L: IntMatrix2) -> tuple[Optional[IntMatrix2], Optional[IntMatrix2]]:
+    """(K, E): `reversal`'s K, and E of det -1 with E L = L E, each None if none exists.
+
+    E exists iff D L D has L's word; it is built from T, with L's sign:
+    E(-L) = -E(L).  One reduction of L serves both.
     """
     sign, word, T = _canonical_data(L)
-    reversal = commutant = None
-    if inverse_word(word) == word:
-        L_inv = L.inverse()
-        reversal = _conjugator(L, L_inv, T, _canonical_data(L_inv)[2])
+    K = _reversal(L, word, T)
     mirror_word, T_m = _mirror(word, T)
-    if mirror_word == word:
-        E = _conjugator(L, L, T, T_m, mirrored=True)
-        commutant = E if sign == 1 else -E
-    return reversal, commutant
+    if mirror_word != word:
+        return K, None
+    E = _conjugator(L, L, T, T_m, mirrored=True)
+    return K, E if sign == 1 else -E
 
 
 def standard_conjugator(L: IntMatrix2) -> Optional[IntMatrix2]:
@@ -440,7 +452,7 @@ def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:
     K = standard_conjugator(L)
     if K is None:
         return None
-    return _checked_unit(L, K.inverse().apply_vec((0, 1)), K.det())
+    return _checked_unit(monodromy_form(L), K.inverse().apply_vec((0, 1)), K.det())
 
 
 def least_form_vector(L: IntMatrix2) -> tuple[int, int]:
@@ -464,9 +476,9 @@ def least_form_vector(L: IntMatrix2) -> tuple[int, int]:
     return T.apply_vec(min(columns, key=lambda v: abs(form.evaluate(*v))))
 
 
-def _checked_unit(L: IntMatrix2, v: tuple[int, int], value: int) -> UnitWitness:
+def _checked_unit(form: MonodromyForm, v: tuple[int, int], value: int) -> UnitWitness:
     curve = PrimitiveSlope(*v)
-    actual = monodromy_form(L).evaluate(*v)
+    actual = form.evaluate(*v)
     if actual != value:
         raise VerificationError(f"unit witness check failed: Q({curve}) = {actual}")
     return UnitWitness(curve, value)
@@ -479,9 +491,7 @@ def classes_of_trace(t: int) -> list[IntMatrix2]:
     rotations.  A reduced [[t-d, b], [c, d]] has bc = n = (t-d)d - 1 with
     b, c >= d (so d < t/2), so the divisors b of n in [d, n/d] list each
     once; the one whose word is its own least pair rotation represents the
-    class.  Sorted by word; about t^2/4 divisibility tests.  A word of trace
-    t has O(log t) pairs, so comparing it with each of its pair rotations,
-    stopping at the first smaller one, is cheaper here than the linear scan.
+    class.  Sorted by word; about t^2/4 divisibility tests.
     """
     if abs(t) <= 2:
         raise TraceTooSmall(f"|trace| must be >= 3, got {t}")
@@ -494,9 +504,6 @@ def classes_of_trace(t: int) -> list[IntMatrix2]:
             if n % b == 0:
                 W = IntMatrix2(t - d, b, n // b, d)
                 word = _reduce_to_positive_word(W)[0]
-                for i in range(2, len(word), 2):
-                    if word[i:] + word[:i] < word:
-                        break
-                else:
+                if _least_pair_start(word) == 0:
                     found.append((word, W))
     return [W for _, W in sorted(found)]

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .conjugacy import cyclic_word, inverse_word
 from .core_algebra import IntMatrix2, require_anosov
-from .errors import DomainError, NotUpperHalfPlane, TraceTooSmall, VerificationError
+from .errors import DomainError, NotUpperHalfPlane, TraceTooSmall
 
 Exact = Union[int, Fraction, "QuadraticIrrational"]
 
@@ -352,16 +352,12 @@ def axis_order2_points(m: int) -> tuple[int, ...]:
 def hits_order2_cone(L: IntMatrix2) -> bool:
     """Whether the projected axis passes through the order-2 cone point.
 
-    Equivalent to reversibility, read off the canonical word; for
-    standard-form input the answer is cross-checked against the exact
-    integer incidence test.
+    Equivalent to reversibility (Lemma 5.1), read off the canonical word:
+    `inverse_word` gives it back.  On standard forms this agrees with
+    `axis_order2_points`, which the tests use as an oracle.
     """
     _, word = cyclic_word(L)
-    reversible = inverse_word(word) == word
-    if (L.b, L.c, L.d) == (-1, 1, 0):
-        if reversible != bool(axis_order2_points(L.a)):
-            raise VerificationError(f"reversal of {L} disagrees with the cone test")
-    return reversible
+    return inverse_word(word) == word
 
 
 # -- SVG reconstruction of the axis picture ----------------------------------

@@ -14,7 +14,7 @@ from solvsplit import (
     mat_pow,
     standard_form_parameter,
 )
-from solvsplit import conjugacy
+from solvsplit import classification, conjugacy
 from solvsplit.centralizer import GL_EXTRA_NEG, GL_EXTRA_POS
 from solvsplit.errors import (
     NotAnosov,
@@ -206,3 +206,44 @@ class TestReductionCounts:
         assert reductions(centralizer_description, IntMatrix2(-4, -1, 1, 0)) == 1
         assert reductions(centralizer_description, IntMatrix2(3, -1, 1, 0)) <= 2
         assert reductions(centralizer_description, IntMatrix2(-3, -1, 1, 0)) <= 2
+
+
+class TestDecisionCounts:
+    """Each decision and each witness check runs once per call."""
+
+    @staticmethod
+    def counter(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_reversal_builds_no_mirror(self, monkeypatch):
+        K = long_conjugator(random.Random(35), 200)
+        L = K @ word_product((3, 3)) @ K.inverse()
+        calls = []
+        for name in ("_mirror", "_conjugator"):
+            self.counter(monkeypatch, conjugacy, name, calls)
+        result = is_reversible(L)
+        assert result.reversible
+        assert result.witness @ L @ result.witness.inverse() == L.inverse()
+        assert calls.count("_mirror") == 0
+        assert calls.count("_conjugator") == 1
+
+    def test_classify_guards_once_and_checks_the_conjugator_once(self, monkeypatch):
+        K = long_conjugator(random.Random(36), 200)
+        L = K @ IntMatrix2(7, -1, 1, 0) @ K.inverse()
+        guards, checks = [], []
+        self.counter(monkeypatch, classification, "require_anosov", guards)
+        self.counter(monkeypatch, conjugacy, "require_anosov", guards)
+        # K L K^-1 = F is checked by `_conjugator`, and by the public
+        # `splitting_descriptors` for a caller-supplied standard form
+        self.counter(monkeypatch, conjugacy, "_conjugator", checks)
+        self.counter(monkeypatch, classification, "splitting_descriptors", checks)
+        report = classify(L)
+        assert report.genus == 2
+        assert len(guards) == 1
+        assert len(checks) == 1

@@ -255,6 +255,23 @@ class TestOtherCommands:
         assert "has det of 28563 bits != 1" in captured.err
 
 
+class TestConjugateGuard:
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("2,1;1,2", "2,1;1,1", "A has det 3 != 1"),
+            ("1,1;0,1", "2,1;1,1", "A has trace 2, not Anosov"),
+            ("2,1;1,1", "2,1;1,2", "B has det 3 != 1"),
+            ("2,1;1,1", "1,0;0,1", "B has trace 2, not Anosov"),
+        ],
+    )
+    def test_names_the_operand(self, capsys, a, b, message):
+        assert run(["conjugate", "-A", a, "-B", b]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: {message}\n"
+
+
 class TestCliContract:
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -24,7 +24,7 @@ from solvsplit.errors import (
     TraceTooSmall,
 )
 
-from _helpers import random_anosov
+from _helpers import long_conjugator, random_anosov
 
 
 def qi(p, q, r, d):
@@ -327,6 +327,21 @@ class TestOrder2ConePoint:
         for _ in range(80):
             L = random_anosov(rng, max_trace=12)
             assert hits_order2_cone(L) == is_reversible(L).reversible
+
+    def test_integer_incidence_oracle_on_standard_forms(self):
+        # the exact incidence test (2n - m)^2 = m^2 - 8 against the word test
+        for m in [*range(3, 2001), *range(-2000, -2)]:
+            F = IntMatrix2(m, -1, 1, 0)
+            expected = bool(axis_order2_points(m))
+            assert hits_order2_cone(F) == expected == is_reversible(F).reversible
+
+    def test_integer_incidence_oracle_on_long_conjugates(self):
+        rng = random.Random(63)
+        for m in [*range(3, 41), *range(-40, -2)]:
+            K = long_conjugator(rng, 200)
+            L = K @ IntMatrix2(m, -1, 1, 0) @ K.inverse()
+            expected = bool(axis_order2_points(m))
+            assert hits_order2_cone(L) == expected == is_reversible(L).reversible
 
 
 class TestRenderFigure:
