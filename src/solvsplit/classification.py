@@ -223,7 +223,7 @@ def classify(L: IntMatrix2) -> ClassificationReport:
     """Full verdict: genus, splitting count, witnesses, spines, involutions.
 
     `standard_form` rejects non-Anosov input (not a solvmanifold, so the
-    dichotomy does not apply) and checks K; the curve is checked by Q_L = det K.
+    dichotomy does not apply) and checks K; the witness curve v, by Q_L(v) = det K.
     """
     t = L.trace()
     sf = standard_form(L)
