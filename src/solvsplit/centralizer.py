@@ -3,7 +3,9 @@
 For L = [[m, -1], [1, 0]] with |m| >= 3 the SL(2,Z) centralizer is exactly
 the signed powers {+-L^n}.  The determinant -1 coset is derived, not listed:
 it exists iff the mirror diag(1, -1) L diag(1, -1) has L's canonical word,
-which for the word R^(|m|-2) S happens only at m = +-3 (Cor 5.2).  Among
+which for the word R^(|m|-2) S happens only at m = +-3 (Cor 5.2).  Its
+element E is checked where it is built, so E^2 = +-L^n is read off by
+`express_power`'s body, past the public guards, and L is guarded once.  Among
 standard forms, L is reversible (conjugate to its own inverse) exactly at
 m = +-3.  Other classes can be reversible too: [[5, 2], [2, 1]] has trace 6,
 no unit curve, and is conjugate to its inverse.
@@ -73,6 +75,11 @@ def express_power(K: IntMatrix2, L: IntMatrix2) -> tuple[int, int]:
         raise NotSL2(f"det {K.det()} != 1")
     if not commutes(K, L):
         raise NotCommuting(f"{K} does not commute with {L}")
+    return _signed_power(K, L, m)
+
+
+def _signed_power(K: IntMatrix2, L: IntMatrix2, m: int) -> tuple[int, int]:
+    # `express_power`'s body, for a K in SL(2,Z) that commutes with L = [[m, -1], [1, 0]]
     if K == IDENTITY:
         return (1, 0)
     if K == -IDENTITY:
@@ -102,13 +109,13 @@ def is_reversible(L: IntMatrix2) -> ReversibilityResult:
 
 def centralizer_description(L: IntMatrix2) -> CentralizerDescription:
     """Cosets of the GL(2,Z) centralizer of a standard-form monodromy."""
-    standard_form_parameter(L)
+    m = standard_form_parameter(L)
     reversal, gl_extra = symmetries(L)
     return CentralizerDescription(
         base=L,
         sl_part="{+-L^n : n in Z}",
         gl_extra=gl_extra,
-        gl_extra_square=None if gl_extra is None else express_power(gl_extra @ gl_extra, L),
+        gl_extra_square=None if gl_extra is None else _signed_power(gl_extra @ gl_extra, L, m),
         reversible=reversal is not None,
         reversal_witness=reversal,
     )

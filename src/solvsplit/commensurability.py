@@ -70,7 +70,8 @@ def intertwiner(A: IntMatrix2, B: IntMatrix2) -> Optional[Intertwiner]:
     )
     # the lattice is B-invariant, so B' = adj(G) B G / det G is integral
     scaled = IntMatrix2(G.d, -G.b, -G.c, G.a) @ B @ G
-    B_prime = IntMatrix2(*(e // G.det() for e in scaled.entries()))
+    det_G = G.det()
+    B_prime = IntMatrix2(*(e // det_G for e in scaled.entries()))
     w0, w1 = G.apply_vec(least_form_vector(B_prime))
     P = IntMatrix2(
         w0, ((B.a - a) * w0 + B.b * w1) // c, w1, (B.c * w0 + (B.d - a) * w1) // c
@@ -81,9 +82,10 @@ def intertwiner(A: IntMatrix2, B: IntMatrix2) -> Optional[Intertwiner]:
 def _checked(A: IntMatrix2, B: IntMatrix2, P: IntMatrix2) -> Intertwiner:
     if P @ A != B @ P:
         raise VerificationError("intertwiner failed PA = BP")
-    if P.det() == 0 or math.gcd(*P.entries()) != 1:
+    det = P.det()
+    if det == 0 or math.gcd(*P.entries()) != 1:
         raise VerificationError("intertwiner is singular or imprimitive")
-    return Intertwiner(P, abs(P.det()))
+    return Intertwiner(P, abs(det))
 
 
 def virtually_conjugate(A: IntMatrix2, B: IntMatrix2) -> VirtualConjugacy:

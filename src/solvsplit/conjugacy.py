@@ -22,7 +22,8 @@ the standard form and its unit curve are read off the canonical word and its
 conjugator, and class enumeration lists reduced words rather than
 deduplicating by word.  It also yields the words of L^-1, which decides
 reversibility, and of the mirror diag(1, -1) L diag(1, -1), which decides the
-GL(2,Z) retry and the det -1 commutant; `_conjugator` checks every conjugator.
+GL(2,Z) retry from the words alone and gives the det -1 commutant, the one use
+of the mirror's conjugator; `_conjugator` checks every conjugator.
 [[a, b], [c, d]] is reduced when d >= 1, b >= d and c >= d (then a >= b, c
 by ad - bc = 1): exactly the positive words that start with R and end with
 S.  So a class's reduced members are its word's pair rotations, and the
@@ -333,6 +334,11 @@ def inverse_word(word: CyclicWord) -> CyclicWord:
     return CyclicWord.canonical(word.exponents[::-1])
 
 
+def _mirror_rotation(word: CyclicWord) -> tuple[int, ...]:
+    # a word of D L D, for L's word (a1, b1, ..., ak, bk): see `_mirror`
+    return word.exponents[1:] + word.exponents[:1]
+
+
 def _mirror(word: CyclicWord, T: IntMatrix2) -> tuple[CyclicWord, IntMatrix2]:
     """The canonical word and T of D L D, for L's; the sign is L's.
 
@@ -340,7 +346,7 @@ def _mirror(word: CyclicWord, T: IntMatrix2) -> tuple[CyclicWord, IntMatrix2]:
     S^ak R^bk is S^a1 (one-step rotation (b1, a2, ..., bk, a1)) S^-a1.
     """
     e = word.exponents
-    mirror_word, V = _least_rotation(e[1:] + e[:1])
+    mirror_word, V = _least_rotation(_mirror_rotation(word))
     return mirror_word, _MIRROR @ T @ _MIRROR @ _J.inverse() @ _mat_gen_pow(S, e[0]) @ V
 
 
@@ -379,12 +385,12 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     invariants = ((sign_a, word_a), (sign_b, word_b))
     mirrored = group == "gl" and invariants[0] != invariants[1]
     if mirrored:
-        word_b = _mirror(word_b, T_b)[0]
+        word_b = CyclicWord.canonical(_mirror_rotation(word_b))
     if (sign_a, word_a) != (sign_b, word_b):
         return ConjugacyResult(False, None, group, *invariants)
     if mirrored:
         # D B D's own reduction gives a far shorter witness than the T that
-        # `_mirror` builds from B's
+        # `_mirror` would build from B's
         T_b = _canonical_data(_MIRROR @ B @ _MIRROR)[2]
     K = _conjugator(A, B, T_a, T_b, mirrored)
     return ConjugacyResult(True, K, group, *invariants)

@@ -167,18 +167,13 @@ def require_anosov(M: IntMatrix2, name: str = "matrix") -> None:
 def power_trace(t: int, n: int) -> int:
     """trace(L^n) for any L with trace t and det 1.
 
-    Chebyshev-style recursion from the characteristic polynomial:
-    t_0 = 2, t_1 = t, t_{n+1} = t*t_n - t_{n-1}.  Strictly increasing in n
-    for t >= 3, and |t_n| is strictly increasing for |t| >= 3.
+    The characteristic polynomial gives t_0 = 2, t_1 = t, t_{n+1} = t*t_n -
+    t_{n-1}: this is trace(F^n), F = [[t, -1], [1, 0]], by `mat_pow`.  Strictly
+    increasing in n for t >= 3, and |t_n| is strictly increasing for |t| >= 3.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = 2, t
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, t * cur - prev
-    return cur
+    return mat_pow(IntMatrix2(t, -1, 1, 0), n).trace()
 
 
 def power_index(t: int, s: int) -> Optional[int]:

@@ -390,12 +390,10 @@ def render_figure(m: int, palette: Optional[dict] = None) -> str:
     of i that lie on the axis.  Output bytes depend only on m and the
     palette.
     """
-    if abs(m) < 3:
-        raise TraceTooSmall(f"|m| must be >= 3, got {m}")
+    arc = alpha_arc(m)  # raises TraceTooSmall for |m| < 3
     colors = dict(DEFAULT_PALETTE)
     if palette:
         colors.update(palette)
-    arc = alpha_arc(m)
     d = m * m - 4
     radius = math.sqrt(d) / 2.0
     x_lo = float(min(-1, m - 1))

@@ -80,6 +80,18 @@ def reduce_step_by_step(M: IntMatrix2) -> tuple[tuple[int, ...], tuple[int, int,
             exponents.append(k)
 
 
+def chebyshev_traces(t: int, count: int) -> list[int]:
+    """trace(L^n) for n = 0 .. count - 1, for any L of trace t and det 1.
+
+    Plain integer arithmetic, no library calls: by the characteristic
+    polynomial, t_0 = 2, t_1 = t and t_{n+1} = t*t_n - t_{n-1}.
+    """
+    traces = [2, t]
+    while len(traces) < count:
+        traces.append(t * traces[-1] - traces[-2])
+    return traces[:count]
+
+
 def words_of_trace(t: int) -> set[tuple[int, ...]]:
     """Least pair rotations of every positive word R^a1 S^b1 ... of trace t.
 

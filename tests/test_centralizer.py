@@ -14,7 +14,7 @@ from solvsplit import (
     mat_pow,
     standard_form_parameter,
 )
-from solvsplit import classification, conjugacy
+from solvsplit import centralizer, classification, conjugacy
 from solvsplit.centralizer import GL_EXTRA_NEG, GL_EXTRA_POS
 from solvsplit.errors import (
     NotAnosov,
@@ -247,3 +247,47 @@ class TestDecisionCounts:
         assert report.genus == 2
         assert len(guards) == 1
         assert len(checks) == 1
+
+
+class TestWorkLedger:
+    """Derived elements are not re-guarded, and no discarded witness is built."""
+
+    counter = staticmethod(TestDecisionCounts.counter)
+
+    @pytest.mark.parametrize("L", [L3, L3N], ids=["m=3", "m=-3"])
+    def test_centralizer_description_guards_once(self, monkeypatch, L):
+        calls = []
+        for name in ("standard_form_parameter", "express_power"):
+            self.counter(monkeypatch, centralizer, name, calls)
+        desc = centralizer_description(L)
+        assert desc.gl_extra is not None
+        sign, n = desc.gl_extra_square
+        assert desc.gl_extra @ desc.gl_extra == (mat_pow(L, n) if sign == 1 else -mat_pow(L, n))
+        assert calls.count("standard_form_parameter") == 1
+        assert calls.count("express_power") == 0
+
+    def test_gl_retry_builds_no_mirror_conjugator(self, monkeypatch):
+        K = long_conjugator(random.Random(37), 200)
+        pairs = [
+            (word_product((6, 1)), word_product((3, 2))),
+            (K @ word_product((1, 2, 1, 3)) @ K.inverse(), word_product((16, 1))),
+        ]
+        calls = []
+        self.counter(monkeypatch, conjugacy, "_mirror", calls)
+        for A, B in pairs:
+            assert A.trace() == B.trace()
+            result = are_conjugate(A, B, "gl")
+            assert result.invariant_a != result.invariant_b
+            assert not result.conjugate
+        assert calls == []
+
+    def test_gl_retry_still_finds_the_mirror(self, monkeypatch):
+        # R S^2 is not SL-conjugate to its mirror R^2 S, but is GL-conjugate
+        A, B = word_product((1, 2)), word_product((2, 1))
+        calls = []
+        self.counter(monkeypatch, conjugacy, "_mirror", calls)
+        result = are_conjugate(A, B, "gl")
+        assert result.invariant_a != result.invariant_b
+        assert result.conjugate and result.witness.det() == -1
+        assert result.witness @ A @ result.witness.inverse() == B
+        assert calls == []

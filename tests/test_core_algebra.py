@@ -23,7 +23,7 @@ from solvsplit import (
 from solvsplit.core_algebra import power_index
 from solvsplit.errors import NotAnosov, NotSL2, NotUnimodular, ParseError
 
-from _helpers import random_anosov, random_primitive, random_sl2
+from _helpers import chebyshev_traces, random_anosov, random_primitive, random_sl2
 
 
 def slope(p, q):
@@ -163,6 +163,11 @@ class TestPowers:
             assert abs(mat_pow(L, n).trace()) == expected
             # inversion preserves traces, so negative powers match too
             assert abs(mat_pow(L, -n).trace()) == expected
+
+    def test_power_trace_matches_the_recursion(self):
+        for t in [*range(-20, -1), *range(2, 21)]:
+            expected = chebyshev_traces(t, 201)
+            assert [power_trace(t, n) for n in range(201)] == expected
 
 
 class TestTextFormats:
