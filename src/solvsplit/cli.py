@@ -1,5 +1,12 @@
 """Command-line front end: classification runs, JSON reports, SVG figures.
 
+Every request takes one path, through `run`.  Each subcommand is declared
+once, in `_SUBCOMMANDS`: its help, its handler and its options, with the
+matrix options marked.  `run` builds the parser from that table, parses the
+marked matrix options, and calls the handler, which returns the input echo,
+the result, the verification list and the text lines; `run` alone assembles
+the document and hands it to `_emit`.
+
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 parse
 or i/o error, 3 domain error, 4 internal verification failure.  Every
 witness that gets printed is re-verified by exact multiplication first; a
@@ -81,19 +88,14 @@ def _emit(doc: dict, verification: list[tuple[str, bool]], mode: str, text_lines
     return EXIT_OK
 
 
-def _doc(command: str, input_echo: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": input_echo,
-    }
-
-
 # -- subcommand handlers ------------------------------------------------------
+#
+# Each handler takes the parsed arguments, with its matrix options already
+# parsed, and returns (input echo, result, verification, text_lines).
 
 
-def _cmd_classify(args) -> int:
-    L = parse_matrix(args.matrix)
+def _cmd_classify(args):
+    L = args.matrix
     report = classification.classify(L)
     verification: list[tuple[str, bool]] = [
         ("input is Anosov in SL(2,Z)", L.is_sl2() and abs(L.trace()) > 2),
@@ -130,8 +132,7 @@ def _cmd_classify(args) -> int:
             "fixed_circles": inv.fixed_circles,
             "central_involution_note": inv.central_involution_note,
         }
-    doc = _doc("classify", {"matrix": format_matrix(L)})
-    doc["result"] = {
+    result = {
         "trace": report.trace,
         "anosov": report.anosov,
         "genus": report.genus,
@@ -176,7 +177,7 @@ def _cmd_classify(args) -> int:
                 "[Thm 4.2(2)]"
             )
             yield (
-                f"witness curve    {doc['result']['witness_curve']} "
+                f"witness curve    {result['witness_curve']} "
                 f"(unit value {sf_doc['unit_value']:+d})    [Thm 4.2(1)]"
             )
         else:
@@ -191,12 +192,11 @@ def _cmd_classify(args) -> int:
         for note in report.annotations:
             yield f"note             {note}"
 
-    return _emit(doc, verification, args.mode, text_lines)
+    return {"matrix": format_matrix(L)}, result, verification, text_lines
 
 
-def _cmd_conjugate(args) -> int:
-    A = parse_matrix(args.matrix_a)
-    B = parse_matrix(args.matrix_b)
+def _cmd_conjugate(args):
+    A, B = args.matrix_a, args.matrix_b
     result = conjugacy.are_conjugate(A, B, args.group)
     sign_a, word_a = result.invariant_a
     sign_b, word_b = result.invariant_b
@@ -208,11 +208,7 @@ def _cmd_conjugate(args) -> int:
             ("witness conjugates A to B", K @ A @ K.inverse() == B)
         )
         witness_doc = {"matrix": format_matrix(K), "det": K.det()}
-    doc = _doc(
-        "conjugate",
-        {"A": format_matrix(A), "B": format_matrix(B), "group": args.group},
-    )
-    doc["result"] = {
+    result_doc = {
         "conjugate": result.conjugate,
         "group": result.group,
         "witness": witness_doc,
@@ -233,10 +229,11 @@ def _cmd_conjugate(args) -> int:
                 f"(det {witness_doc['det']:+d}), K A K^-1 = B"
             )
 
-    return _emit(doc, verification, args.mode, text_lines)
+    return ({"A": format_matrix(A), "B": format_matrix(B), "group": args.group},
+            result_doc, verification, text_lines)
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args):
     if abs(args.trace) > MAX_CLASSES_TRACE:
         raise DomainError(f"|trace| {abs(args.trace)} > limit {MAX_CLASSES_TRACE}")
     reps = conjugacy.classes_of_trace(args.trace)
@@ -251,12 +248,11 @@ def _cmd_classes(args) -> int:
             len(set(invariants)) == len(reps),
         ),
     ]
-    doc = _doc("classes", {"trace": args.trace})
     classes = [
         {"representative": format_matrix(M), "sign": sign, "word": list(word.exponents)}
         for M, (sign, word) in zip(reps, invariants)
     ]
-    doc["result"] = {"trace": args.trace, "count": len(reps), "classes": classes}
+    result = {"trace": args.trace, "count": len(reps), "classes": classes}
 
     def text_lines():
         tag = "[Lemma 6.1]" if abs(args.trace) == 3 else "[Oracle-checked enumeration]"
@@ -269,11 +265,11 @@ def _cmd_classes(args) -> int:
                 f"{conjugacy.CyclicWord(tuple(entry['word']))}"
             )
 
-    return _emit(doc, verification, args.mode, text_lines)
+    return {"trace": args.trace}, result, verification, text_lines
 
 
-def _cmd_centralizer(args) -> int:
-    L = parse_matrix(args.matrix)
+def _cmd_centralizer(args):
+    L = args.matrix
     desc = centralizer_mod.centralizer_description(L)
     verification = []
     extra_doc = None
@@ -301,8 +297,7 @@ def _cmd_centralizer(args) -> int:
                 K @ L @ K.inverse() == L.inverse(),
             )
         )
-    doc = _doc("centralizer", {"matrix": format_matrix(L)})
-    doc["result"] = {
+    result = {
         "base": format_matrix(L),
         "sl_part": desc.sl_part,
         "gl_extra": extra_doc,
@@ -327,12 +322,11 @@ def _cmd_centralizer(args) -> int:
         if desc.reversal_witness is not None:
             yield f"reversal K       {format_matrix(desc.reversal_witness)}"
 
-    return _emit(doc, verification, args.mode, text_lines)
+    return {"matrix": format_matrix(L)}, result, verification, text_lines
 
 
-def _cmd_commensurable(args) -> int:
-    A = parse_matrix(args.matrix_a)
-    B = parse_matrix(args.matrix_b)
+def _cmd_commensurable(args):
+    A, B = args.matrix_a, args.matrix_b
     result = commensurability.virtually_conjugate(A, B)
     verification = []
     witness_doc = None
@@ -341,10 +335,7 @@ def _cmd_commensurable(args) -> int:
         verification.append(("intertwiner satisfies PA = BP", P @ A == B @ P))
         verification.append(("intertwiner has nonzero determinant", P.det() != 0))
         witness_doc = {"matrix": format_matrix(P), "index": result.witness.index}
-    doc = _doc(
-        "commensurable", {"A": format_matrix(A), "B": format_matrix(B)}
-    )
-    doc["result"] = {
+    result_doc = {
         "virtually_conjugate": result.virtually_conjugate,
         "trace_a": A.trace(),
         "trace_b": B.trace(),
@@ -362,11 +353,12 @@ def _cmd_commensurable(args) -> int:
                 f"index {witness_doc['index']}, PA = BP    [Thm 7.2]"
             )
 
-    return _emit(doc, verification, args.mode, text_lines)
+    return ({"A": format_matrix(A), "B": format_matrix(B)},
+            result_doc, verification, text_lines)
 
 
-def _cmd_geodesic(args) -> int:
-    L = parse_matrix(args.matrix)
+def _cmd_geodesic(args):
+    L = args.matrix
     geo = modular_geometry.axis(L)
     lo, hi = geo.endpoints
     # endpoints must solve c z^2 + (d - a) z - b = 0, checked exactly
@@ -384,8 +376,7 @@ def _cmd_geodesic(args) -> int:
         cone = list(modular_geometry.axis_order2_points(m))
     except DomainError:
         pass
-    doc = _doc("geodesic", {"matrix": format_matrix(L)})
-    doc["result"] = {
+    result = {
         "endpoints": [_qi_doc(lo), _qi_doc(hi)],
         "center": _frac(geo.center),
         "radius_sq": _frac(geo.radius_sq),
@@ -408,10 +399,10 @@ def _cmd_geodesic(args) -> int:
         if cone:
             yield f"cone points      axis passes through n + i for n in {cone}"
 
-    return _emit(doc, verification, args.mode, text_lines)
+    return {"matrix": format_matrix(L)}, result, verification, text_lines
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args):
     if abs(args.m) > MAX_FIGURE_M:
         raise DomainError(f"|m| {abs(args.m)} > limit {MAX_FIGURE_M}")
     palette = None
@@ -432,8 +423,7 @@ def _cmd_figure(args) -> int:
     ]
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    doc = _doc("figure", {"m": args.m, "output": args.output})
-    doc["result"] = {
+    result = {
         "m": args.m,
         "output": args.output,
         "alpha_endpoint_c0": {
@@ -457,10 +447,38 @@ def _cmd_figure(args) -> int:
         if arc.corner_coincidence:
             yield "note             endpoint coincides with the corner exp(pi*i/3)"
 
-    return _emit(doc, verification, args.mode, text_lines)
+    return {"m": args.m, "output": args.output}, result, verification, text_lines
 
 
 # -- argument parsing ---------------------------------------------------------
+
+# Each subcommand once, in help order: name -> (help, handler, matrix options
+# as (dest, flags, help), other options as (flags, add_argument keywords)).
+# A matrix option is required, and `run` parses it before the handler runs.
+_SUBCOMMANDS = {
+    "classify": ("full splitting classification", _cmd_classify,
+                 [("matrix", ("-m", "--matrix"), 'monodromy "a,b;c,d"')], []),
+    "conjugate": ("decide conjugacy with witness", _cmd_conjugate,
+                  [("matrix_a", ("-A",), 'matrix "a,b;c,d"'),
+                   ("matrix_b", ("-B",), 'matrix "a,b;c,d"')],
+                  [(("--group",), {"choices": ("sl", "gl"), "default": "sl"})]),
+    "classes": ("conjugacy classes of a given trace", _cmd_classes, [],
+                [(("-t",), {"dest": "trace", "type": int, "required": True,
+                            "help": f"trace, 3 <= |t| <= {MAX_CLASSES_TRACE}"})]),
+    "centralizer": ("centralizer of a standard form", _cmd_centralizer,
+                    [("matrix", ("-m", "--matrix"), 'standard form "m,-1;1,0"')], []),
+    "commensurable": ("virtual conjugacy with intertwiner", _cmd_commensurable,
+                      [("matrix_a", ("-A",), None), ("matrix_b", ("-B",), None)], []),
+    "geodesic": ("exact axis data on the modular surface", _cmd_geodesic,
+                 [("matrix", ("-m", "--matrix"), None)], []),
+    "figure": ("render the axis picture as SVG", _cmd_figure, [], [
+        (("--m",), {"type": int, "required": True,
+                    "help": f"standard-form parameter, 3 <= |m| <= {MAX_FIGURE_M}"}),
+        (("-o",), {"dest": "output", "required": True, "help": "output SVG path"}),
+        (("--palette",), {"help": "optional JSON palette override"}),
+    ]),
+}
+_MODES = {"json": "emit a JSON report document", "text": "emit a human-readable summary (default)"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -472,82 +490,42 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_mode(p):
+    for name, (help_text, _, matrices, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest, flags, matrix_help in matrices:
+            p.add_argument(*flags, dest=dest, required=True, help=matrix_help)
+        for flags, keywords in options:
+            p.add_argument(*flags, **keywords)
         group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--json", dest="mode", action="store_const", const="json",
-            help="emit a JSON report document",
-        )
-        group.add_argument(
-            "--text", dest="mode", action="store_const", const="text",
-            help="emit a human-readable summary (default)",
-        )
+        for mode, mode_help in _MODES.items():
+            group.add_argument(
+                f"--{mode}", dest="mode", action="store_const", const=mode, help=mode_help
+            )
         p.set_defaults(mode="text")
-
-    p = sub.add_parser("classify", help="full splitting classification")
-    p.add_argument("-m", "--matrix", required=True, help='monodromy "a,b;c,d"')
-    add_mode(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("conjugate", help="decide conjugacy with witness")
-    p.add_argument("-A", dest="matrix_a", required=True, help='matrix "a,b;c,d"')
-    p.add_argument("-B", dest="matrix_b", required=True, help='matrix "a,b;c,d"')
-    p.add_argument("--group", choices=("sl", "gl"), default="sl")
-    add_mode(p)
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("classes", help="conjugacy classes of a given trace")
-    p.add_argument("-t", dest="trace", type=int, required=True,
-                   help=f"trace, 3 <= |t| <= {MAX_CLASSES_TRACE}")
-    add_mode(p)
-    p.set_defaults(func=_cmd_classes)
-
-    p = sub.add_parser("centralizer", help="centralizer of a standard form")
-    p.add_argument("-m", "--matrix", required=True, help='standard form "m,-1;1,0"')
-    add_mode(p)
-    p.set_defaults(func=_cmd_centralizer)
-
-    p = sub.add_parser("commensurable", help="virtual conjugacy with intertwiner")
-    p.add_argument("-A", dest="matrix_a", required=True)
-    p.add_argument("-B", dest="matrix_b", required=True)
-    add_mode(p)
-    p.set_defaults(func=_cmd_commensurable)
-
-    p = sub.add_parser("geodesic", help="exact axis data on the modular surface")
-    p.add_argument("-m", "--matrix", required=True)
-    add_mode(p)
-    p.set_defaults(func=_cmd_geodesic)
-
-    p = sub.add_parser("figure", help="render the axis picture as SVG")
-    p.add_argument("--m", type=int, required=True,
-                   help=f"standard-form parameter, 3 <= |m| <= {MAX_FIGURE_M}")
-    p.add_argument("-o", dest="output", required=True, help="output SVG path")
-    p.add_argument("--palette", help="optional JSON palette override")
-    add_mode(p)
-    p.set_defaults(func=_cmd_figure)
-
     return parser
-
-
-_MATRIX_FLAGS = ("-m", "--matrix", "-A", "-B")
 
 
 def _merge_matrix_values(argv: list[str]) -> list[str]:
     # a matrix starting with a negative entry looks like an option to
-    # argparse; join it to its flag with '=' so "-m -3,-1;1,0" parses
+    # argparse; join it to its flag with '=' so "-m -3,-1;1,0" parses.  The
+    # flag is any spelling argparse reads as a matrix option of the
+    # subcommand: the option itself or an unambiguous prefix of a long one.
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return argv
+    _, _, matrices, options = _SUBCOMMANDS[argv[0]]
+    matrix_flags = [flag for _, flags, _ in matrices for flag in flags]
+    names = ["--help", *(f"--{mode}" for mode in _MODES), *matrix_flags,
+             *(flag for flags, _ in options for flag in flags)]
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _MATRIX_FLAGS and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if nxt.startswith("-") and ("," in nxt or ";" in nxt):
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and flag not in names:
+            hits = [name for name in names if name.startswith(flag)]
+            flag = hits[0] if len(hits) == 1 else flag
+        if flag in matrix_flags and tok.startswith("-") and ("," in tok or ";" in tok):
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -557,8 +535,18 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(_merge_matrix_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    _, handler, matrices, _ = _SUBCOMMANDS[args.command]
     try:
-        return args.func(args)
+        for dest, _, _ in matrices:
+            setattr(args, dest, parse_matrix(getattr(args, dest)))
+        echo, result, verification, text_lines = handler(args)
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "input": echo,
+            "result": result,
+        }
+        return _emit(doc, verification, args.mode, text_lines)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -203,8 +203,9 @@ def mat_pow(L: IntMatrix2, n: int) -> IntMatrix2:
     while n:
         if n & 1:
             result = result @ base
-        base = base @ base
         n >>= 1
+        if n:
+            base = base @ base
     return result
 
 

@@ -140,6 +140,19 @@ class TestOtherCommands:
         doc = run_json(capsys, ["conjugate", "-A", "-2,-1;-1,-1", "-B", "-3,-1;1,0"])
         assert doc["result"]["conjugate"] is True
 
+    @pytest.mark.parametrize(
+        "spelling",
+        [["-m", "-3,-1;1,0"], ["-m=-3,-1;1,0"], ["-m-3,-1;1,0"], ["--matrix", "-3,-1;1,0"],
+         ["--matrix=-3,-1;1,0"], ["--mat", "-3,-1;1,0"], ["--matri", "-3,-1;1,0"]],
+        ids=" ".join,
+    )
+    def test_negative_matrix_after_any_accepted_spelling(self, capsys, spelling):
+        for command in ("classify", "centralizer", "geodesic"):
+            assert run([command, "-m=-3,-1;1,0", "--json"]) == EXIT_OK
+            expected = capsys.readouterr().out
+            assert run([command, *spelling, "--json"]) == EXIT_OK
+            assert capsys.readouterr().out == expected
+
     def test_centralizer_requires_standard_form(self, capsys):
         assert run(["centralizer", "-m", "2,1;1,1"]) == EXIT_DOMAIN
         capsys.readouterr()

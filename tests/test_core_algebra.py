@@ -150,6 +150,18 @@ class TestPowers:
         assert mat_pow(L, -1) == IntMatrix2(0, 1, -1, 3)
         assert mat_pow(IntMatrix2(7, 3, 2, 1), 0) == IDENTITY
 
+    def test_mat_pow_squares_only_while_bits_remain(self, monkeypatch):
+        products = []
+        matmul = IntMatrix2.__matmul__
+        monkeypatch.setattr(
+            IntMatrix2, "__matmul__", lambda A, B: products.append(1) or matmul(A, B)
+        )
+        F = IntMatrix2(3, -1, 1, 0)
+        for k in range(12):
+            products.clear()
+            mat_pow(F, 2**k)
+            assert len(products) <= k + 1
+
     def test_mat_pow_negative_requires_unimodular(self):
         with pytest.raises(NotUnimodular):
             mat_pow(IntMatrix2(2, 0, 0, 2), -1)
