@@ -13,11 +13,10 @@ no unit curve, and is conjugate to its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .conjugacy import reversal, symmetries
-from .core_algebra import IDENTITY, IntMatrix2, mat_pow, power_index
+from .core_algebra import IDENTITY, IntMatrix2, _record, mat_pow, power_index
 from .errors import NotCommuting, NotExpressible, NotSL2, NotStandardForm
 
 # the determinant -1 commutants `centralizer_description` derives at m = +-3
@@ -25,7 +24,7 @@ GL_EXTRA_POS = IntMatrix2(-2, 1, -1, 1)
 GL_EXTRA_NEG = IntMatrix2(2, 1, -1, -1)
 
 
-@dataclass(frozen=True)
+@_record
 class CentralizerDescription:
     """Structure of all matrices commuting with a standard-form monodromy.
 
@@ -41,7 +40,7 @@ class CentralizerDescription:
     reversal_witness: Optional[IntMatrix2]
 
 
-@dataclass(frozen=True)
+@_record
 class ReversibilityResult:
     reversible: bool
     witness: Optional[IntMatrix2]

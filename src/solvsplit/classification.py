@@ -10,7 +10,6 @@ produces a second, non-isotopic spine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .core_algebra import (
     IDENTITY,
     IntMatrix2,
     PrimitiveSlope,
+    _record,
     mat_pow,
     monodromy_form,
     require_anosov,
@@ -39,7 +39,7 @@ GENUS3_TEXT = (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class StandardFormResult:
     """Conjugation of the monodromy onto [[m_signed, -1], [1, 0]].
 
@@ -57,7 +57,7 @@ class StandardFormResult:
         return IntMatrix2(self.m_signed, -1, 1, 0)
 
 
-@dataclass(frozen=True)
+@_record
 class SpineDescription:
     """A handlebody spine, given by curves at exact fiber levels.
 
@@ -72,7 +72,7 @@ class SpineDescription:
     text: str
 
 
-@dataclass(frozen=True)
+@_record
 class InvolutionData:
     """Exact matrix identities behind the two trace +-3 splittings."""
 
@@ -84,7 +84,7 @@ class InvolutionData:
     central_involution_note: str
 
 
-@dataclass(frozen=True)
+@_record
 class ClassificationReport:
     input: IntMatrix2
     trace: int

@@ -421,8 +421,9 @@ def _cmd_figure(args):
     verification = [
         (cert.name, cert.holds) for cert in arc.certificates
     ]
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    if all(holds for _, holds in verification):  # a failed check writes no file
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(svg)
     result = {
         "m": args.m,
         "output": args.output,

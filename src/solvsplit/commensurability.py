@@ -11,15 +11,14 @@ for GL(2,Z)-conjugate pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .conjugacy import least_form_vector
-from .core_algebra import IntMatrix2, power_index, require_anosov
+from .core_algebra import IntMatrix2, _record, power_index, require_anosov
 from .errors import VerificationError
 
 
-@dataclass(frozen=True)
+@_record
 class Intertwiner:
     """Primitive integer P with PA = BP, of least index |det P|."""
 
@@ -27,7 +26,7 @@ class Intertwiner:
     index: int
 
 
-@dataclass(frozen=True)
+@_record
 class VirtualConjugacy:
     virtually_conjugate: bool
     witness: Optional[Intertwiner]

@@ -33,7 +33,6 @@ reduction stops at the first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .core_algebra import (
@@ -41,6 +40,7 @@ from .core_algebra import (
     IntMatrix2,
     MonodromyForm,
     PrimitiveSlope,
+    _record,
     monodromy_form,
     require_anosov,
 )
@@ -50,7 +50,7 @@ R = IntMatrix2(1, 1, 0, 1)
 S = IntMatrix2(1, 0, 1, 1)
 
 
-@dataclass(frozen=True)
+@_record
 class CyclicWord:
     """Alternating word R^{a1} S^{b1} ... R^{ak} S^{bk}, exponents all >= 1.
 
@@ -88,7 +88,7 @@ class CyclicWord:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@_record
 class UnitWitness:
     """A curve where the monodromy form takes the value +1 or -1."""
 
@@ -96,7 +96,7 @@ class UnitWitness:
     value: int
 
 
-@dataclass(frozen=True)
+@_record
 class ConjugacyResult:
     """Verdict and witness, with the (sign, word) invariants of A and of B."""
 

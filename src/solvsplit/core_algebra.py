@@ -9,13 +9,64 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, NotAnosov, NotSL2, NotUnimodular, ParseError
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Make cls a frozen record of its annotated fields, in their order.
+
+    The record behaves as a frozen dataclass without defaults would, but
+    needs no import or code generation: it is built by position or keyword
+    (a wrong argument is a TypeError), `__post_init__` then runs and may
+    canonicalize through `object.__setattr__`, `==` holds only within the
+    class, the hash is that of the field tuple, the repr is
+    `Name(field=value, ...)`, fields cannot be set or deleted, and
+    `__match_args__` names the fields.  A method the class defines itself is
+    kept.  Each instance `__dict__` holds exactly the fields, in order.
+    """
+    names = tuple(cls.__annotations__)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        fields = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected argument {name!r}")
+            fields[name] = value
+        if len(args) > len(names) or len(fields) < len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        object.__setattr__(self, "__dict__", {name: fields[name] for name in names})
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in vars(cls):
+            setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+@_record
 class IntMatrix2:
     """Row-major 2x2 integer matrix [[a, b], [c, d]]."""
 
@@ -23,6 +74,10 @@ class IntMatrix2:
     b: int
     c: int
     d: int
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        # the hot constructor: one call, no argument matching
+        object.__setattr__(self, "__dict__", {"a": a, "b": b, "c": c, "d": d})
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -69,7 +124,7 @@ class IntMatrix2:
 IDENTITY = IntMatrix2(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
+@_record
 class PrimitiveSlope:
     """Coprime pair (p, q) up to sign, i.e. an essential curve on the torus.
 
@@ -94,7 +149,7 @@ class PrimitiveSlope:
         return format_slope(self)
 
 
-@dataclass(frozen=True)
+@_record
 class MonodromyForm:
     """Integer binary quadratic form qa*x^2 + qb*xy + qc*y^2.
 

@@ -9,18 +9,17 @@ coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .conjugacy import cyclic_word, inverse_word
-from .core_algebra import IntMatrix2, require_anosov
+from .core_algebra import IntMatrix2, _record, require_anosov
 from .errors import DomainError, NotUpperHalfPlane, TraceTooSmall
 
 Exact = Union[int, Fraction, "QuadraticIrrational"]
 
 
-@dataclass(frozen=True)
+@_record
 class QuadraticIrrational:
     """(p + q*sqrt(disc)) / r with integer p, q, r and nonsquare disc > 0.
 
@@ -187,7 +186,7 @@ class QuadraticIrrational:
         return f"({self.p} + {self.q}*sqrt({self.disc}))/{self.r}"
 
 
-@dataclass(frozen=True)
+@_record
 class Geodesic:
     """Axis data: real endpoints, Euclidean center and squared radius.
 
@@ -266,7 +265,7 @@ def _sign_of_difference(a: Exact, b: Exact) -> int:
     return sv * ((u_sq > v_sq) - (u_sq < v_sq))
 
 
-@dataclass(frozen=True)
+@_record
 class OrthogonalityCertificate:
     """Exact identity (center distance)^2 = r1^2 + r2^2 for a circle pair."""
 
@@ -279,7 +278,7 @@ class OrthogonalityCertificate:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
+@_record
 class AlphaArc:
     """Fundamental arc of the axis, cut off by the unit circles C_0 and C_m."""
 

@@ -10,14 +10,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from solvsplit import (
+    AlphaArc,
     IntMatrix2,
     MonodromyForm,
+    OrthogonalityCertificate,
     QuadraticIrrational,
     classification,
     cli,
     conjugacy,
     cyclic_word,
     format_matrix,
+    modular_geometry,
     parse_matrix,
 )
 from solvsplit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, _emit, run
@@ -337,6 +340,27 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "verification failure" in captured.err
+
+    def test_failed_figure_certificate_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        arc_of = modular_geometry.alpha_arc
+
+        def broken_arc(m):
+            arc = arc_of(m)
+            certificates = tuple(
+                OrthogonalityCertificate(c.name, c.lhs, c.rhs + 1) for c in arc.certificates
+            )
+            return AlphaArc(arc.m, arc.endpoint_c0, arc.endpoint_cm, certificates,
+                            arc.corner_coincidence, arc.c0_endpoint_position)
+
+        monkeypatch.setattr(modular_geometry, "alpha_arc", broken_arc)
+        out = tmp_path / "fail.svg"
+        assert run(["figure", "--m", "4", "-o", str(out)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "verification failed: C0 orthogonal to axis; Cm orthogonal to axis\n"
+        )
+        assert not out.exists()
 
     def test_diagnostics_never_on_stdout(self, capsys):
         run(["classify", "-m", "not-a-matrix"])

@@ -2,8 +2,12 @@
 hashing, repr, immutability, pickling and pattern matching."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,19 @@ def test_match_statement_binds_fields_by_position():
             assert (a, b, c, d) == (1, 2, 3, 4)
         case _:
             pytest.fail("no match")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    script = (
+        "import sys; before = set(sys.modules); import solvsplit, solvsplit.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = proc.stdout.split()
+    assert "solvsplit.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
