@@ -27,17 +27,16 @@ def _record(cls):
     kept.  Each instance `__dict__` holds exactly the fields, in order.
     """
     names = tuple(cls.__annotations__)
+    name_set = frozenset(names)
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
-        fields = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names or name in fields:
-                raise TypeError(f"{cls.__name__}() got an unexpected argument {name!r}")
-            fields[name] = value
-        if len(args) > len(names) or len(fields) < len(names):
-            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
-        object.__setattr__(self, "__dict__", {name: fields[name] for name in names})
+        fields = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or fields.keys() != name_set:
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)} once each")
+        if kwargs:  # keep the fields in declaration order
+            fields = {name: fields[name] for name in names}
+        object.__setattr__(self, "__dict__", fields)
         if post_init is not None:
             post_init(self)
 
