@@ -156,6 +156,37 @@ class TestOtherCommands:
             assert run([command, *spelling, "--json"]) == EXIT_OK
             assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("command", ["conjugate", "commensurable"])
+    def test_negative_operands_after_any_accepted_spelling(self, capsys, command):
+        a, b = "-2,-1;-1,-1", "-3,-1;1,0"
+        assert run([command, "-A", a, "-B", b, "--json"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        for spelled_a in (["-A", a], [f"-A={a}"], [f"-A{a}"]):
+            for spelled_b in (["-B", b], [f"-B={b}"], [f"-B{b}"]):
+                assert run([command, *spelled_a, *spelled_b, "--json"]) == EXIT_OK
+                assert capsys.readouterr().out == expected
+
+    _ODD_COMMAND_LINES = [
+        (["classify", "-m", "-3,-1;1,0", "-h"], EXIT_OK),
+        (["classify", "-m", "-1x", "-h"], EXIT_PARSE),
+        (["classify", "-m", "2,1;1,1", "--json", "-3,1;1,0"], EXIT_PARSE),
+        (["conjugate", "-A", "2,1;1,1", "-B", "2,1;1,1", "--group", "-3,1;1,0"], EXIT_PARSE),
+        (["figure", "--m", "3", "-o", "-x;y.svg"], EXIT_PARSE),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code", _ODD_COMMAND_LINES, ids=[" ".join(argv) for argv, _ in _ODD_COMMAND_LINES]
+    )
+    def test_odd_command_line(self, capsys, monkeypatch, tmp_path, argv, code):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == code
+        out = capsys.readouterr().out
+        if code == EXIT_OK:
+            assert out.startswith(f"usage: solvsplit {argv[0]} ")
+        else:
+            assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_centralizer_requires_standard_form(self, capsys):
         assert run(["centralizer", "-m", "2,1;1,1"]) == EXIT_DOMAIN
         capsys.readouterr()
