@@ -7,6 +7,10 @@ marked matrix options, and calls the handler, which returns the input echo,
 the result, the verification list and the text lines; `run` alone assembles
 the document and hands it to `_emit`.
 
+argparse reads the whole command line.  In a subcommand with matrix options,
+a token that starts with '-' and holds ',' or ';' is always a value, so a
+matrix may lead with a negative entry: `classify -m -3,-1;1,0`.
+
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 parse
 or i/o error, 3 domain error, 4 internal verification failure.  Every
 witness that gets printed is re-verified by exact multiplication first; a
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -480,6 +485,12 @@ _SUBCOMMANDS = {
     ]),
 }
 _MODES = {"json": "emit a JSON report document", "text": "emit a human-readable summary (default)"}
+# A dash token that fits no option spelling is a value when argparse's
+# `_negative_number_matcher` matches it (underscored: argparse's own, set
+# and read alike in Python 3.10 to 3.13).  Its default, the first two
+# alternatives, takes negative numbers; subcommands with matrix options
+# also take "-3,-1;1,0": a ',' or ';' is in no option name.
+_MATRIX_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-.*[,;]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -493,6 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, matrices, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if matrices:
+            p._negative_number_matcher = _MATRIX_VALUE
         for dest, flags, matrix_help in matrices:
             p.add_argument(*flags, dest=dest, required=True, help=matrix_help)
         for flags, keywords in options:
@@ -506,34 +519,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_matrix_values(argv: list[str]) -> list[str]:
-    # a matrix starting with a negative entry looks like an option to
-    # argparse; join it to its flag with '=' so "-m -3,-1;1,0" parses.  The
-    # flag is any spelling argparse reads as a matrix option of the
-    # subcommand: the option itself or an unambiguous prefix of a long one.
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return argv
-    _, _, matrices, options = _SUBCOMMANDS[argv[0]]
-    matrix_flags = [flag for _, flags, _ in matrices for flag in flags]
-    names = ["--help", *(f"--{mode}" for mode in _MODES), *matrix_flags,
-             *(flag for flags, _ in options for flag in flags)]
-    out = []
-    for tok in argv:
-        flag = out[-1] if out else ""
-        if flag.startswith("--") and flag not in names:
-            hits = [name for name in names if name.startswith(flag)]
-            flag = hits[0] if len(hits) == 1 else flag
-        if flag in matrix_flags and tok.startswith("-") and ("," in tok or ";" in tok):
-            out[-1] += f"={tok}"
-        else:
-            out.append(tok)
-    return out
-
-
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_matrix_values(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     _, handler, matrices, _ = _SUBCOMMANDS[args.command]

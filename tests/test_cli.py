@@ -187,6 +187,14 @@ class TestOtherCommands:
             assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_option_spelling_is_never_a_matrix_value(self, capsys):
+        # "-A2,1;1,1" spells -A with its value, so the first -A has none
+        argv = ["conjugate", "-A", "-A2,1;1,1", "-A", "2,1;1,1", "-B", "3,-1;1,0"]
+        assert run(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument -A: expected one argument" in captured.err
+
     def test_centralizer_requires_standard_form(self, capsys):
         assert run(["centralizer", "-m", "2,1;1,1"]) == EXIT_DOMAIN
         capsys.readouterr()
