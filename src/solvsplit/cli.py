@@ -8,8 +8,9 @@ the result, the verification list and the text lines; `run` alone assembles
 the document and hands it to `_emit`.
 
 argparse reads the whole command line.  In a subcommand with matrix options,
-a token that starts with '-' and holds ',' or ';' is always a value, so a
-matrix may lead with a negative entry: `classify -m -3,-1;1,0`.
+a token that starts with '-' and holds ',' or ';' is a value unless it
+spells an option, so a matrix may lead with a negative entry:
+`classify -m -3,-1;1,0`.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 parse
 or i/o error, 3 domain error, 4 internal verification failure.  Every
