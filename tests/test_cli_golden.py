@@ -4,7 +4,8 @@
 `--text`): the exit code, the sha256 of stdout and, for `figure`, the sha256
 of the SVG it writes.  The requests cover all seven subcommands, with
 reversible inputs, mirror-conjugate pairs under `--group gl`, the centralizer
-at m = +-3 .. +-7, error exits and inputs with long entries, among them
+at m = +-3 .. +-7, figures there and at +-8, +-13, +-64 and +-1000,
+error exits and inputs with long entries, among them
 the standard forms R^n S and R S^n of both signs and proper powers such as
 (RS)^5.  A change that alters printed output on purpose bumps
 `schema_version` and rewrites the file with
@@ -155,6 +156,9 @@ def requests() -> list[list[str]]:
                  "--group", "gl"],
                 ["commensurable", "-A", L, "-B", conj(M, long_conjugator(rng, 300))],
             ]
+    # figures past the centralizer's range, up to a wide tiling
+    for m in (8, 13, 64, 1000):
+        out += [["figure", "--m", str(s), "-o", SVG] for s in (m, -m)]
     return out
 
 
