@@ -19,6 +19,7 @@ from .core_algebra import (
     IntMatrix2,
     PrimitiveSlope,
     _record,
+    apply,
     mat_pow,
     monodromy_form,
     require_anosov,
@@ -116,12 +117,6 @@ def standard_form(L: IntMatrix2) -> Optional[StandardFormResult]:
     return StandardFormResult(L.trace(), K, det, det)
 
 
-def _transport(K: IntMatrix2, curve: PrimitiveSlope) -> PrimitiveSlope:
-    # standard-form coordinates pull back through the inverse conjugator
-    x, y = K.inverse().apply_vec(curve.vector())
-    return PrimitiveSlope(x, y)
-
-
 def _involution_data(m_signed: int) -> InvolutionData:
     Lstd = IntMatrix2(m_signed, -1, 1, 0)
     alpha = (0, 1)
@@ -162,6 +157,23 @@ def _involution_data(m_signed: int) -> InvolutionData:
 
 _Spines = tuple[tuple[SpineDescription, ...], Optional[InvolutionData]]
 
+# (curve, level, text) of each genus 2 spine in standard-form coordinates;
+# the second exists only at trace +-3
+_GENUS2_SPINES = (
+    (
+        PrimitiveSlope(0, 1),
+        LEVEL_ZERO,
+        "spine is the join of the vertical circle lambda (quotient of the line "
+        "{0,0} x R) with alpha x {0}, alpha = (0,1) in standard-form coordinates",
+    ),
+    (
+        PrimitiveSlope(1, 1),
+        LEVEL_HALF,
+        "second spine is the join of lambda with beta x {1/2}, beta = (1,1) in "
+        "standard-form coordinates; not isotopic to the first",
+    ),
+)
+
 
 def splitting_descriptors(L: IntMatrix2, sf: Optional[StandardFormResult]) -> _Spines:
     """Spines for the classified splittings, plus involution data at |t| = 3.
@@ -186,37 +198,14 @@ def _spines(sf: Optional[StandardFormResult]) -> _Spines:
             text=GENUS3_TEXT,
         )
         return (spine,), None
-    K = sf.conjugator
-    alpha = PrimitiveSlope(0, 1)
-    spines = [
-        SpineDescription(
-            kind="genus2",
-            curves=((alpha, LEVEL_ZERO),),
-            transported_curves=(_transport(K, alpha),),
-            text=(
-                "spine is the join of the vertical circle lambda (quotient "
-                "of the line {0,0} x R) with alpha x {0}, alpha = (0,1) in "
-                "standard-form coordinates"
-            ),
-        )
-    ]
-    involution = None
-    if abs(sf.m_signed) == 3:
-        beta = PrimitiveSlope(1, 1)
-        spines.append(
-            SpineDescription(
-                kind="genus2",
-                curves=((beta, LEVEL_HALF),),
-                transported_curves=(_transport(K, beta),),
-                text=(
-                    "second spine is the join of lambda with beta x {1/2}, "
-                    "beta = (1,1) in standard-form coordinates; not isotopic "
-                    "to the first"
-                ),
-            )
-        )
-        involution = _involution_data(sf.m_signed)
-    return tuple(spines), involution
+    # standard-form coordinates pull back through the inverse conjugator
+    K_inv = sf.conjugator.inverse()
+    trace_3 = abs(sf.m_signed) == 3
+    spines = tuple(
+        SpineDescription("genus2", ((curve, level),), (apply(K_inv, curve),), text)
+        for curve, level, text in _GENUS2_SPINES[: 2 if trace_3 else 1]
+    )
+    return spines, _involution_data(sf.m_signed) if trace_3 else None
 
 
 def classify(L: IntMatrix2) -> ClassificationReport:

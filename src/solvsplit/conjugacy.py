@@ -22,8 +22,9 @@ the standard form and its unit curve are read off the canonical word and its
 conjugator, and class enumeration lists reduced words rather than
 deduplicating by word.  It also yields the words of L^-1, which decides
 reversibility, and of the mirror diag(1, -1) L diag(1, -1), which decides the
-GL(2,Z) retry from the words alone and gives the det -1 commutant, the one use
-of the mirror's conjugator; `_conjugator` checks every conjugator.
+GL(2,Z) retry and the det -1 commutant from the words alone; the mirror's
+conjugator is built only for a commutant that exists.  `_conjugator` checks
+every conjugator.
 [[a, b], [c, d]] is reduced when d >= 1, b >= d and c >= d (then a >= b, c
 by ad - bc = 1): exactly the positive words that start with R and end with
 S.  So a class's reduced members are its word's pair rotations, and the
@@ -350,13 +351,9 @@ def _mirror(word: CyclicWord, T: IntMatrix2) -> tuple[CyclicWord, IntMatrix2]:
     return mirror_word, _MIRROR @ T @ _MIRROR @ _J.inverse() @ _mat_gen_pow(S, e[0]) @ V
 
 
-def _conjugator(
-    A: IntMatrix2, B: IntMatrix2, T_a: IntMatrix2, T_b: IntMatrix2, mirrored: bool = False
-) -> IntMatrix2:
-    """K with K A K^-1 = B, checked, from T_a and the T_b of B (of D B D if mirrored)."""
+def _conjugator(A: IntMatrix2, B: IntMatrix2, T_a: IntMatrix2, T_b: IntMatrix2) -> IntMatrix2:
+    """K = T_b T_a^-1, checked: K A K^-1 = B.  Pass T_b = D T for the T of D B D."""
     K = T_b @ T_a.inverse()
-    if mirrored:
-        K = _MIRROR @ K
     if K @ A @ K.inverse() != B:
         raise VerificationError("conjugacy witness failed to verify")
     return K
@@ -391,8 +388,8 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     if mirrored:
         # D B D's own reduction gives a far shorter witness than the T that
         # `_mirror` would build from B's
-        T_b = _canonical_data(_MIRROR @ B @ _MIRROR)[2]
-    K = _conjugator(A, B, T_a, T_b, mirrored)
+        T_b = _MIRROR @ _canonical_data(_MIRROR @ B @ _MIRROR)[2]
+    K = _conjugator(A, B, T_a, T_b)
     return ConjugacyResult(True, K, group, *invariants)
 
 
@@ -416,15 +413,14 @@ def reversal(L: IntMatrix2) -> Optional[IntMatrix2]:
 def symmetries(L: IntMatrix2) -> tuple[Optional[IntMatrix2], Optional[IntMatrix2]]:
     """(K, E): `reversal`'s K, and E of det -1 with E L = L E, each None if none exists.
 
-    E exists iff D L D has L's word; it is built from T, with L's sign:
-    E(-L) = -E(L).  One reduction of L serves both.
+    E exists iff D L D has L's word, decided on that word; only then is E
+    built from T, with L's sign: E(-L) = -E(L).  One reduction of L serves both.
     """
     sign, word, T = _canonical_data(L)
     K = _reversal(L, word, T)
-    mirror_word, T_m = _mirror(word, T)
-    if mirror_word != word:
+    if CyclicWord.canonical(_mirror_rotation(word)) != word:
         return K, None
-    E = _conjugator(L, L, T, T_m, mirrored=True)
+    E = _conjugator(L, L, T, _MIRROR @ _mirror(word, T)[1])
     return K, E if sign == 1 else -E
 
 
@@ -447,7 +443,7 @@ def standard_conjugator(L: IntMatrix2) -> Optional[IntMatrix2]:
         X, value = IntMatrix2(1, 0, -1, 1), -sign
     else:
         return None
-    return _conjugator(L, IntMatrix2(L.trace(), -1, 1, 0), T, X, mirrored=value == -1)
+    return _conjugator(L, IntMatrix2(L.trace(), -1, 1, 0), T, X if value == 1 else _MIRROR @ X)
 
 
 def represent_unit(L: IntMatrix2) -> Optional[UnitWitness]:

@@ -2,12 +2,14 @@
 
 Axis endpoints are quadratic irrationals handled without floating point, so
 cone-point incidence and fundamental-domain membership are decided exactly.
-Floats appear only in the hyperbolic translation length and in emitted SVG
-coordinates.
+Floats appear only in the hyperbolic translation length, in emitted SVG
+coordinates, and in the `approx` value that the CLI's JSON writes beside each
+quadratic irrational (its correctly rounded `float`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -20,6 +22,7 @@ Exact = Union[int, Fraction, "QuadraticIrrational"]
 
 
 @_record
+@functools.total_ordering
 class QuadraticIrrational:
     """(p + q*sqrt(disc)) / r with integer p, q, r and nonsquare disc > 0.
 
@@ -148,15 +151,6 @@ class QuadraticIrrational:
     def __lt__(self, other):
         return self._cmp(other) < 0
 
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __hash__(self):
         if self.q == 0:
             return hash(Fraction(self.p, self.r))
@@ -205,14 +199,15 @@ def axis(A: IntMatrix2) -> Geodesic:
     """Geodesic semicircle joining the fixed points of an Anosov matrix.
 
     The fixed points solve c z^2 + (d - a) z - b = 0; c = 0 does not occur,
-    since it forces a = d = +-1 and so trace +-2.
+    since it forces a = d = +-1 and so trace +-2.  The root with +sqrt(d) is
+    the larger iff c > 0, as the two differ by sqrt(d) / c.
     """
     require_anosov(A)
     t = A.trace()
     d = t * t - 4
     plus = QuadraticIrrational(A.a - A.d, 1, 2 * A.c, d)
     minus = QuadraticIrrational(A.a - A.d, -1, 2 * A.c, d)
-    lo, hi = (minus, plus) if minus < plus else (plus, minus)
+    lo, hi = (minus, plus) if A.c > 0 else (plus, minus)
     try:
         length = 2.0 * math.acosh(abs(t) / 2.0)
     except OverflowError:
@@ -304,17 +299,10 @@ def alpha_arc(m: int) -> AlphaArc:
     x0 = Fraction(2, m)
     y0 = QuadraticIrrational(0, 1, abs(m), d)
     xm = Fraction(m * m - 2, m)
-    certificates = (
-        OrthogonalityCertificate(
-            "C0 orthogonal to axis",
-            Fraction(m * m, 4),
-            1 + Fraction(d, 4),
-        ),
-        OrthogonalityCertificate(
-            "Cm orthogonal to axis",
-            Fraction(m * m, 4),
-            1 + Fraction(d, 4),
-        ),
+    # unit circles at 0 and m, both |m|/2 from the axis centre m/2
+    certificates = tuple(
+        OrthogonalityCertificate(f"{c} orthogonal to axis", Fraction(m * m, 4), 1 + Fraction(d, 4))
+        for c in ("C0", "Cm")
     )
     abs_x = abs(x0)
     if abs_x < Fraction(1, 2):
@@ -328,7 +316,7 @@ def alpha_arc(m: int) -> AlphaArc:
         endpoint_c0=(x0, y0),
         endpoint_cm=(xm, y0),
         certificates=certificates,
-        corner_coincidence=(abs(m) == 4),
+        corner_coincidence=position == "corner",
         c0_endpoint_position=position,
     )
 
@@ -391,8 +379,12 @@ def render_figure(m: int, palette: Optional[dict] = None) -> str:
     """
     arc = alpha_arc(m)  # raises TraceTooSmall for |m| < 3
     colors = dict(DEFAULT_PALETTE)
-    if palette:
-        colors.update(palette)
+    colors.update(palette or {})
+    # every color is written into a double-quoted attribute
+    colors = {
+        k: str(v).replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+        for k, v in colors.items()
+    }
     d = m * m - 4
     radius = math.sqrt(d) / 2.0
     x_lo = float(min(-1, m - 1))
@@ -463,12 +455,9 @@ def render_figure(m: int, palette: Optional[dict] = None) -> str:
         f'fill="none" stroke="{colors["axis_circle"]}" stroke-width="2"/>'
     )
 
-    ax0, ay0 = arc.endpoint_c0
-    axm, _ = arc.endpoint_cm
-    a_left = min(ax0, axm)
-    a_right = max(ax0, axm)
+    ay = float(arc.endpoint_c0[1])
     parts.append(
-        f'<path d="{upper_arc(a_left, float(ay0), a_right, float(ay0), radius)}" '
+        f'<path d="{upper_arc(alpha_lo, ay, alpha_hi, ay, radius)}" '
         f'fill="none" stroke="{colors["alpha"]}" stroke-width="4"/>'
     )
 

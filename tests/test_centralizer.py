@@ -286,3 +286,13 @@ class TestWorkLedger:
                 assert result.witness.det() == -1
                 assert result.witness @ A @ result.witness.inverse() == B
         assert calls == []
+
+    def test_mirror_conjugator_only_for_a_mirror_symmetric_word(self, monkeypatch):
+        calls = []
+        self.counter(monkeypatch, conjugacy, "_mirror", calls)
+        for m in (4, -4, 7, -7):
+            assert centralizer_description(IntMatrix2(m, -1, 1, 0)).gl_extra is None
+        assert calls == []
+        for m, extra in ((3, GL_EXTRA_POS), (-3, GL_EXTRA_NEG)):
+            assert centralizer_description(IntMatrix2(m, -1, 1, 0)).gl_extra == extra
+        assert calls == ["_mirror", "_mirror"]

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -237,6 +238,21 @@ class TestOtherCommands:
             ["figure", "--m", "5", "-o", str(out), "--palette", str(palette)],
         )
         assert "#123456" in out.read_text()
+
+    def test_figure_palette_values_stay_inside_their_attributes(self, capsys, tmp_path):
+        raw = {"alpha": 'red" onload="alert(1)', "label": "a&b<c"}
+        palette = tmp_path / "palette.json"
+        palette.write_text(json.dumps(raw))
+        out = tmp_path / "m3.svg"
+        run_json(capsys, ["figure", "--m", "3", "-o", str(out), "--palette", str(palette)])
+        root = ElementTree.parse(out).getroot()  # raises unless well-formed
+        svg = "{http://www.w3.org/2000/svg}"
+        alpha = [e for e in root.iter(svg + "path") if e.get("stroke-width") == "4"]
+        labels = list(root.iter(svg + "text"))
+        assert [e.get("stroke") for e in alpha] == [raw["alpha"]]
+        assert len(labels) == 2
+        assert all(e.get("fill") == raw["label"] for e in labels)
+        assert all(e.get("onload") is None for e in root.iter())
 
     @pytest.mark.parametrize(
         "content", [b"not json", b"[1,2]", b'{"alpha": 1}'], ids=["text", "list", "int"]
