@@ -22,9 +22,10 @@ the standard form and its unit curve are read off the canonical word and its
 conjugator, and class enumeration lists reduced words rather than
 deduplicating by word.  It also yields the words of L^-1, which decides
 reversibility, and of the mirror diag(1, -1) L diag(1, -1), which decides the
-GL(2,Z) retry and the det -1 commutant from the words alone; the mirror's
-conjugator is built only for a commutant that exists.  `_conjugator` checks
-every conjugator.
+GL(2,Z) retry and the det -1 commutant from the words alone.  That commutant,
+when it exists, is E = T N V T^-1, read off the word: N depends on its first
+exponent and V is the rotation onto the mirror's least one.  `_conjugator`
+checks every conjugator.
 [[a, b], [c, d]] is reduced when d >= 1, b >= d and c >= d (then a >= b, c
 by ad - bc = 1): exactly the positive words that start with R and end with
 S.  So a class's reduced members are its word's pair rotations, and the
@@ -324,7 +325,6 @@ def _canonical_data(L: IntMatrix2, name: str = "matrix") -> tuple[int, CyclicWor
 
 
 _MIRROR = IntMatrix2(1, 0, 0, -1)  # D: D R D = R^-1 and D S D = S^-1
-_J = IntMatrix2(0, 1, -1, 0)  # J R J^-1 = S^-1 and J S J^-1 = R^-1
 
 
 def inverse_word(word: CyclicWord) -> CyclicWord:
@@ -336,19 +336,12 @@ def inverse_word(word: CyclicWord) -> CyclicWord:
 
 
 def _mirror_rotation(word: CyclicWord) -> tuple[int, ...]:
-    # a word of D L D, for L's word (a1, b1, ..., ak, bk): see `_mirror`
-    return word.exponents[1:] + word.exponents[:1]
+    """A word of D L D, for L's word (a1, b1, ..., ak, bk); the sign is L's.
 
-
-def _mirror(word: CyclicWord, T: IntMatrix2) -> tuple[CyclicWord, IntMatrix2]:
-    """The canonical word and T of D L D, for L's; the sign is L's.
-
-    sign*D L D = (D T D) (D W D) (D T D)^-1, and J D W D J^-1 = S^a1 R^b1 ...
-    S^ak R^bk is S^a1 (one-step rotation (b1, a2, ..., bk, a1)) S^-a1.
+    With J = [[0, 1], [-1, 0]], J D W D J^-1 = S^a1 R^b1 ... S^ak R^bk is
+    S^a1 (this one-step rotation (b1, a2, ..., bk, a1)) S^-a1.
     """
-    e = word.exponents
-    mirror_word, V = _least_rotation(_mirror_rotation(word))
-    return mirror_word, _MIRROR @ T @ _MIRROR @ _J.inverse() @ _mat_gen_pow(S, e[0]) @ V
+    return word.exponents[1:] + word.exponents[:1]
 
 
 def _conjugator(A: IntMatrix2, B: IntMatrix2, T_a: IntMatrix2, T_b: IntMatrix2) -> IntMatrix2:
@@ -386,8 +379,8 @@ def are_conjugate(A: IntMatrix2, B: IntMatrix2, group: str = "sl") -> ConjugacyR
     if (sign_a, word_a) != (sign_b, word_b):
         return ConjugacyResult(False, None, group, *invariants)
     if mirrored:
-        # D B D's own reduction gives a far shorter witness than the T that
-        # `_mirror` would build from B's
+        # D B D's own reduction gives a far shorter witness than one built
+        # from B's T through the rotation
         T_b = _MIRROR @ _canonical_data(_MIRROR @ B @ _MIRROR)[2]
     K = _conjugator(A, B, T_a, T_b)
     return ConjugacyResult(True, K, group, *invariants)
@@ -413,14 +406,18 @@ def reversal(L: IntMatrix2) -> Optional[IntMatrix2]:
 def symmetries(L: IntMatrix2) -> tuple[Optional[IntMatrix2], Optional[IntMatrix2]]:
     """(K, E): `reversal`'s K, and E of det -1 with E L = L E, each None if none exists.
 
-    E exists iff D L D has L's word, decided on that word; only then is E
-    built from T, with L's sign: E(-L) = -E(L).  One reduction of L serves both.
+    E exists iff D L D has L's word W.  N = D J^-1 S^a1 = [[-a1, -1], [-1, 0]]
+    (J as in `_mirror_rotation`) takes W to N^-1 W N, the matrix of the
+    one-step rotation, and V takes that to its least rotation, W again; so
+    E = T N V T^-1, with L's sign: E(-L) = -E(L).  One reduction of L serves
+    both.
     """
     sign, word, T = _canonical_data(L)
     K = _reversal(L, word, T)
-    if CyclicWord.canonical(_mirror_rotation(word)) != word:
+    mirror_word, V = _least_rotation(_mirror_rotation(word))
+    if mirror_word != word:
         return K, None
-    E = _conjugator(L, L, T, _MIRROR @ _mirror(word, T)[1])
+    E = _conjugator(L, L, T, T @ IntMatrix2(-word.exponents[0], -1, -1, 0) @ V)
     return K, E if sign == 1 else -E
 
 

@@ -313,6 +313,7 @@ def _det_text(M: IntMatrix2) -> str:
 
 
 def format_matrix(M: IntMatrix2) -> str:
+    require_printable(*M.entries())
     return f"{M.a},{M.b};{M.c},{M.d}"
 
 
@@ -327,4 +328,5 @@ def parse_slope(text: str) -> PrimitiveSlope:
 
 
 def format_slope(s: PrimitiveSlope) -> str:
+    require_printable(s.p, s.q)
     return f"{s.p}/{s.q}"

@@ -413,19 +413,16 @@ def render_figure(m: int, palette: Optional[dict] = None) -> str:
         f'fill="{colors["background"]}"/>',
     ]
 
-    # translates of the fundamental domain touched by alpha, decided exactly:
-    # on the axis, |z - k|^2 = k^2 - 1 + (m - 2k) x is linear in x
+    # translates of the fundamental domain touched by alpha: on the axis,
+    # |z - k|^2 = k(m - k) - 1 + (m - 2k)(x - k).  For 0 < |k| < |m|, x = k
+    # lies on alpha, where this is at least |m| - 2 >= 1.  Alpha meets the
+    # end strips k = 0 and k = m only when 2/|m| <= 1/2, and then reaches
+    # |m|/2 - 1 >= 1 at the strip's far edge; so both ends drop at |m| = 3
     alpha_lo = min(arc.endpoint_c0[0], arc.endpoint_cm[0])
     alpha_hi = max(arc.endpoint_c0[0], arc.endpoint_cm[0])
     sqrt3_half = math.sqrt(3.0) / 2.0
-    for k in range(min(0, m), max(0, m) + 1):
-        strip_lo = max(alpha_lo, Fraction(2 * k - 1, 2))
-        strip_hi = min(alpha_hi, Fraction(2 * k + 1, 2))
-        if strip_lo > strip_hi:
-            continue
-        values = [k * k - 1 + (m - 2 * k) * x for x in (strip_lo, strip_hi)]
-        if max(values) < 1:
-            continue
+    trim = int(abs(m) == 3)
+    for k in range(min(0, m) + trim, max(0, m) + 1 - trim):
         left, right = k - 0.5, k + 0.5
         path = (
             f"M {px(left)} {py(y_hi)} L {px(left)} {py(sqrt3_half)} "

@@ -29,6 +29,7 @@ from _helpers import (
     random_sl2,
     signed_power_orbit,
     word_product,
+    words_of_trace,
 )
 
 L3 = IntMatrix2(3, -1, 1, 0)
@@ -161,6 +162,18 @@ class TestCommutantScan:
         expected = signed_power_orbit(L, bound=15, extra=desc.gl_extra)
         assert found == expected
 
+    def test_det_minus_one_commutant_exists_as_the_scan_finds(self):
+        # every class of trace 3..20, standard form or not, both signs
+        cases = 0
+        for t in range(3, 21):
+            for exps in sorted(words_of_trace(t)):
+                for sign in (1, -1):
+                    L = word_product(exps) if sign == 1 else -word_product(exps)
+                    scanned = any(K.det() == -1 for K in commuting_unimodular_scan(L, bound=12))
+                    assert (conjugacy.symmetries(L)[1] is not None) == scanned
+                    cases += 1
+        assert cases == 156
+
 
 class TestReductionCounts:
     """One reduction of L decides reversibility, the mirror and the det -1 coset."""
@@ -225,13 +238,11 @@ class TestDecisionCounts:
         K = long_conjugator(random.Random(35), 200)
         L = K @ word_product((3, 3)) @ K.inverse()
         calls = []
-        for name in ("_mirror", "_conjugator"):
-            self.counter(monkeypatch, conjugacy, name, calls)
+        self.counter(monkeypatch, conjugacy, "_conjugator", calls)
         result = is_reversible(L)
         assert result.reversible
         assert result.witness @ L @ result.witness.inverse() == L.inverse()
-        assert calls.count("_mirror") == 0
-        assert calls.count("_conjugator") == 1
+        assert calls == ["_conjugator"]
 
     def test_classify_guards_once_and_checks_the_conjugator_once(self, monkeypatch):
         K = long_conjugator(random.Random(36), 200)
@@ -276,7 +287,7 @@ class TestWorkLedger:
             (word_product((1, 2)), word_product((2, 1)), True),
         ]
         calls = []
-        self.counter(monkeypatch, conjugacy, "_mirror", calls)
+        self.counter(monkeypatch, conjugacy, "_conjugator", calls)
         for A, B, expected in cases:
             assert A.trace() == B.trace()
             result = are_conjugate(A, B, "gl")
@@ -285,14 +296,14 @@ class TestWorkLedger:
             if expected:
                 assert result.witness.det() == -1
                 assert result.witness @ A @ result.witness.inverse() == B
-        assert calls == []
+        assert calls == ["_conjugator"]
 
     def test_mirror_conjugator_only_for_a_mirror_symmetric_word(self, monkeypatch):
         calls = []
-        self.counter(monkeypatch, conjugacy, "_mirror", calls)
+        self.counter(monkeypatch, conjugacy, "_conjugator", calls)
         for m in (4, -4, 7, -7):
             assert centralizer_description(IntMatrix2(m, -1, 1, 0)).gl_extra is None
         assert calls == []
         for m, extra in ((3, GL_EXTRA_POS), (-3, GL_EXTRA_NEG)):
             assert centralizer_description(IntMatrix2(m, -1, 1, 0)).gl_extra == extra
-        assert calls == ["_mirror", "_mirror"]
+        assert calls == ["_conjugator"] * 4

@@ -318,6 +318,18 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "print limit" in captured.err
 
+    @pytest.mark.parametrize("mode", ["--json", "--text"])
+    def test_unprintable_intertwiner_is_domain_error(self, capsys, mode):
+        # 4300-digit inputs of trace 6 whose intertwiner has one more bit
+        c = 5 * 10**2149
+        W = IntMatrix2(5, 2, 2, 1)
+        A = IntMatrix2(1, 0, c, 1) @ W @ IntMatrix2(1, 0, -c, 1)
+        B = IntMatrix2(1, 0, -c, 1) @ W @ IntMatrix2(1, 0, c, 1)
+        assert run(["commensurable", "-A", format_matrix(A), "-B", format_matrix(B), mode]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "print limit" in captured.err
+
     def test_unprintable_determinant_in_message(self, capsys):
         a = 10**4299
         assert run(["classify", "-m", f"{a},{a};{-a},{a}"]) == EXIT_DOMAIN

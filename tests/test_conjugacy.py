@@ -28,11 +28,11 @@ from solvsplit.conjugacy import (
     CyclicWord,
     _WINDOW,
     _batch,
-    _canonical_data,
     _least_pair_start,
-    _mirror,
+    _mirror_rotation,
     _reduce_to_positive_word,
     inverse_word,
+    symmetries,
 )
 from solvsplit.errors import NotAnosov, NotSL2, TraceTooSmall, VerificationError
 
@@ -290,12 +290,16 @@ class TestWordSymmetries:
                 W = word_product(exps)
                 K = long_conjugator(rng, 64)
                 L = K @ (W if sign == 1 else -W) @ K.inverse()
-                _, word, T = _canonical_data(L)
+                _, word = cyclic_word(L)
                 assert cyclic_word(mat_pow(L, -1)) == (sign, inverse_word(word))
-                mirror_word, T_m = _mirror(word, T)
+                mirror_word = CyclicWord.canonical(_mirror_rotation(word))
                 M = MIRROR @ L @ MIRROR
                 assert cyclic_word(M) == (sign, mirror_word)
-                assert T_m.inverse() @ (M if sign == 1 else -M) @ T_m == mirror_word.matrix()
+                E = symmetries(L)[1]
+                if mirror_word == word:
+                    assert E.det() == -1 and E @ L == L @ E
+                else:
+                    assert E is None
 
 
 def _large_words(rng):
