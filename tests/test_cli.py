@@ -325,7 +325,8 @@ class TestOtherCommands:
         W = IntMatrix2(5, 2, 2, 1)
         A = IntMatrix2(1, 0, c, 1) @ W @ IntMatrix2(1, 0, -c, 1)
         B = IntMatrix2(1, 0, -c, 1) @ W @ IntMatrix2(1, 0, c, 1)
-        assert run(["commensurable", "-A", format_matrix(A), "-B", format_matrix(B), mode]) == EXIT_DOMAIN
+        argv = ["commensurable", "-A", format_matrix(A), "-B", format_matrix(B), mode]
+        assert run(argv) == EXIT_DOMAIN
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "print limit" in captured.err
