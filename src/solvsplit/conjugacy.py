@@ -152,10 +152,9 @@ def _least_pair_start(exponents: tuple[int, ...]) -> int:
 
 
 def _surd_floor(p: int, q: int, sd: int) -> int:
-    # floor((p + sqrt(d)) / q); sd = isqrt(d)
-    if q > 0:
-        return (p + sd) // q
-    return (-p - sd - 1) // (-q)
+    # floor((p + sqrt(d)) / q); sd = isqrt(d).  The floor is the same for every
+    # x strictly between sd and sd + 1, and a negative q takes it at sd + 1.
+    return (p + sd + (q < 0)) // q
 
 
 # Bits kept from the top of p + isqrt(d) and q for a batch of steps.  A batch

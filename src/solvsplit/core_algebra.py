@@ -277,6 +277,9 @@ def _parse_int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
+        if token[token[0] in "+-":].isdecimal():  # refused only for its length
+            raise ParseError(f"a {len(token)}-character integer is past the "
+                             f"{sys.get_int_max_str_digits()}-digit limit") from None
         raise ParseError(f"not an integer: {token!r}") from None
 
 

@@ -28,8 +28,9 @@ class QuadraticIrrational:
 
     Canonical form has r > 0 and gcd(p, q, r) = 1, so equality of values is
     structural equality (rational values compare across discriminants).
-    Comparisons and arithmetic are exact; mixing two genuinely irrational
-    discriminants is rejected.
+    The sign is p's where p^2 > q^2 disc and q's otherwise.  Comparisons and
+    arithmetic are exact: a rational operand of any disc joins the other
+    operand's field, and two irrational operands must share disc.
     """
 
     p: int
@@ -42,13 +43,9 @@ class QuadraticIrrational:
             raise ValueError("zero denominator")
         if self.disc <= 0 or math.isqrt(self.disc) ** 2 == self.disc:
             raise ValueError(f"disc must be positive and not a square: {self.disc}")
-        p, q, r = self.p, self.q, self.r
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = math.gcd(p, math.gcd(q, r))
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "r", r // g)
+        g = math.gcd(self.p, self.q, self.r) * (1 if self.r > 0 else -1)
+        for name in ("p", "q", "r"):
+            object.__setattr__(self, name, getattr(self, name) // g)
 
     @staticmethod
     def from_rational(value, disc: int) -> "QuadraticIrrational":
@@ -59,36 +56,24 @@ class QuadraticIrrational:
         return QuadraticIrrational(self.p, -self.q, self.r, self.disc)
 
     def sign(self) -> int:
-        # r > 0 after canonicalization, so only the numerator matters
-        p, q, d = self.p, self.q, self.disc
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if q > 0:
-            if p >= 0:
-                return 1
-            return 1 if q * q * d > p * p else -1
-        return -QuadraticIrrational(-p, -q, self.r, d).sign()
+        # r > 0, and p^2 = q^2 disc only at p = q = 0, as disc is not a square
+        s = self.p if self.p * self.p > self.q * self.q * self.disc else self.q
+        return (s > 0) - (s < 0)
 
     def _coerce(self, other) -> Optional["QuadraticIrrational"]:
-        if isinstance(other, QuadraticIrrational):
-            if other.q == 0:
-                return QuadraticIrrational(other.p, 0, other.r, self.disc)
-            if self.q == 0:
-                return other
-            if other.disc != self.disc:
-                raise ValueError(
-                    f"mixed discriminants {self.disc} and {other.disc}"
-                )
-            return other
         if isinstance(other, (int, Fraction)):
             return QuadraticIrrational.from_rational(other, self.disc)
-        return None
+        if not isinstance(other, QuadraticIrrational):
+            return None
+        if self.q and other.q and self.disc != other.disc:
+            raise ValueError(f"mixed discriminants {self.disc} and {other.disc}")
+        return other
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.disc if self.q == 0 else self.disc
+        d = o.disc if o.q else self.disc
         return QuadraticIrrational(
             self.p * o.r + o.p * self.r,
             self.q * o.r + o.q * self.r,
@@ -114,7 +99,7 @@ class QuadraticIrrational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.disc if self.q == 0 else self.disc
+        d = o.disc if o.q else self.disc
         return QuadraticIrrational(
             self.p * o.p + self.q * o.q * d,
             self.p * o.q + self.q * o.p,
@@ -126,15 +111,7 @@ class QuadraticIrrational:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero")
-            return QuadraticIrrational(
-                self.p * f.denominator,
-                self.q * f.denominator,
-                self.r * f.numerator,
-                self.disc,
-            )
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def _cmp(self, other) -> int:
@@ -304,13 +281,7 @@ def alpha_arc(m: int) -> AlphaArc:
         OrthogonalityCertificate(f"{c} orthogonal to axis", Fraction(m * m, 4), 1 + Fraction(d, 4))
         for c in ("C0", "Cm")
     )
-    abs_x = abs(x0)
-    if abs_x < Fraction(1, 2):
-        position = "interior"
-    elif abs_x == Fraction(1, 2):
-        position = "corner"
-    else:
-        position = "outside"
+    position = {3: "outside", 4: "corner"}.get(abs(m), "interior")
     return AlphaArc(
         m=m,
         endpoint_c0=(x0, y0),

@@ -338,6 +338,16 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "has det of 28563 bits != 1" in captured.err
 
+    def test_over_long_integer_names_the_digit_limit(self, capsys):
+        assert run(["classify", "-m", "9" * 4301 + ",1;1,0"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a 4301-character integer is past the 4300-digit limit" in captured.err
+        assert len(captured.err) < 200
+        for token in ("\u00b2", "+-5", "x"):
+            assert run(["classify", "-m", f"{token},1;1,0"]) == EXIT_PARSE
+            assert f"not an integer: {token!r}" in capsys.readouterr().err
+
 
 class TestConjugateGuard:
     @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import ast
+import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 from pathlib import Path
@@ -31,6 +33,7 @@ from solvsplit.conjugacy import (
     _least_pair_start,
     _mirror_rotation,
     _reduce_to_positive_word,
+    _surd_floor,
     inverse_word,
     symmetries,
 )
@@ -512,6 +515,34 @@ class TestBatchedReduction:
             for num in ((n << e) + 1, ((n + 1) << e) - 1):
                 assert X in prefixes(num, q << e), (n, q)
         assert batches > 400
+
+
+class TestSurdFloor:
+    """_surd_floor(p, q, isqrt(d)) is floor((p + sqrt(d)) / q)."""
+
+    @staticmethod
+    def oracle(p, q, d):
+        # (p + x) / q never crosses an integer for isqrt(d) < x < isqrt(d) + 1,
+        # so the midpoint of that interval has sqrt(d)'s floor
+        return math.floor(Fraction(2 * (p + isqrt(d)) + 1, 2 * q))
+
+    def test_every_small_operand(self):
+        for d in (2, 3, 5, 8, 12, 21, 45, 77, 99, 120, 3601, 2**61 - 1, 10**40 - 4):
+            sd = isqrt(d)
+            for p in range(-60, 61):
+                for q in range(-60, 61):
+                    if q:
+                        assert _surd_floor(p, q, sd) == self.oracle(p, q, d), (p, q, d)
+
+    def test_random_200_bit_operands(self):
+        rng = random.Random(61)
+        for _ in range(3000):
+            d = rng.getrandbits(rng.randint(2, 400)) + 2
+            if isqrt(d) ** 2 == d:
+                continue
+            p = rng.getrandbits(200) * rng.choice((1, -1))
+            q = (rng.getrandbits(rng.randint(1, 200)) or 1) * rng.choice((1, -1))
+            assert _surd_floor(p, q, isqrt(d)) == self.oracle(p, q, d), (p, q, d)
 
 
 class TestEngineChecks:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from math import isqrt
 import xml.etree.ElementTree as ET
@@ -94,8 +95,17 @@ class TestQuadraticIrrational:
         assert golden / 2 == qi(1, 1, 4, 5)
 
     def test_mixed_disc_rejected(self):
-        with pytest.raises(ValueError):
-            qi(0, 1, 1, 5) + qi(0, 1, 1, 3)
+        for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.eq):
+            with pytest.raises(ValueError):
+                op(qi(0, 1, 1, 5), qi(0, 1, 1, 3))
+
+    def test_rational_operand_joins_the_other_field(self):
+        # a rational of any disc takes the other operand's; of two rationals,
+        # the left one's field is kept
+        half5, half3 = qi(1, 0, 2, 5), qi(1, 0, 2, 3)
+        assert repr(half5 + half3) == "QuadraticIrrational(p=1, q=0, r=1, disc=5)"
+        assert repr(half5 * half3) == "QuadraticIrrational(p=1, q=0, r=4, disc=5)"
+        assert (half3 + qi(0, 1, 1, 5)).disc == 5
 
     def test_float_approximation(self):
         assert abs(float(qi(1, 1, 2, 5)) - (1 + math.sqrt(5)) / 2) < 1e-12
