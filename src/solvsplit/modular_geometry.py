@@ -44,8 +44,9 @@ class QuadraticIrrational:
         if self.disc <= 0 or math.isqrt(self.disc) ** 2 == self.disc:
             raise ValueError(f"disc must be positive and not a square: {self.disc}")
         g = math.gcd(self.p, self.q, self.r) * (1 if self.r > 0 else -1)
-        for name in ("p", "q", "r"):
-            object.__setattr__(self, name, getattr(self, name) // g)
+        object.__setattr__(self, "p", self.p // g)
+        object.__setattr__(self, "q", self.q // g)
+        object.__setattr__(self, "r", self.r // g)
 
     @staticmethod
     def from_rational(value, disc: int) -> "QuadraticIrrational":

@@ -344,6 +344,8 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "a 4301-character integer is past the 4300-digit limit" in captured.err
         assert len(captured.err) < 200
+        assert run(["classify", "-m", "-" + "9" * 4301 + ",1;1,0"]) == EXIT_PARSE
+        assert "a 4302-character integer is past the 4300-digit limit" in capsys.readouterr().err
         for token in ("\u00b2", "+-5", "x"):
             assert run(["classify", "-m", f"{token},1;1,0"]) == EXIT_PARSE
             assert f"not an integer: {token!r}" in capsys.readouterr().err
