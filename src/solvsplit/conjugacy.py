@@ -79,7 +79,7 @@ class CyclicWord:
         """Multiply the word out exactly."""
         M = IDENTITY
         for i, e in enumerate(self.exponents):
-            M = M @ _mat_gen_pow(R if i % 2 == 0 else S, e)
+            M = M @ _block(i, e)
         return M
 
     def __str__(self) -> str:
@@ -295,11 +295,9 @@ def _reduce_to_positive_word(M: IntMatrix2) -> tuple[tuple[int, ...], IntMatrix2
     raise VerificationError("fixed-point reduction did not terminate")
 
 
-def _mat_gen_pow(gen: IntMatrix2, k: int) -> IntMatrix2:
-    # R^k and S^k have a closed form; keep it exact and cheap
-    if gen.b == 1:
-        return IntMatrix2(1, k, 0, 1)
-    return IntMatrix2(1, 0, k, 1)
+def _block(i: int, e: int) -> IntMatrix2:
+    """A word's i-th block: R^e at even i, S^e at odd i."""
+    return IntMatrix2(1, e, 0, 1) if i % 2 == 0 else IntMatrix2(1, 0, e, 1)
 
 
 def _least_rotation(raw: tuple[int, ...]) -> tuple[CyclicWord, IntMatrix2]:
@@ -469,7 +467,7 @@ def least_form_vector(L: IntMatrix2) -> tuple[int, int]:
     V = IDENTITY
     for i, e in enumerate(word.exponents):
         columns += [(V.a, V.c), (V.b, V.d)]
-        V = V @ _mat_gen_pow(R if i % 2 == 0 else S, e)
+        V = V @ _block(i, e)
     form = monodromy_form(V)  # the full prefix is the word's matrix
     return T.apply_vec(min(columns, key=lambda v: abs(form.evaluate(*v))))
 

@@ -137,20 +137,25 @@ class QuadraticIrrational:
     def __float__(self) -> float:
         """The correctly rounded value; DomainError outside float range.
 
-        For q != 0, (p + q sqrt(disc)) 2^k lies strictly between n and n + 1,
-        so the value rounds as n / (r 2^k) once (n + 1) / (r 2^k) rounds alike;
-        an irrational is never a tie, so growing k ends the loop.
+        x = (p + q sqrt(disc)) / r equals n / (r 2^k) if q = 0 and otherwise
+        lies strictly between it and (n + 1) / (r 2^k), where n = p 2^k +
+        floor(q sqrt(disc) 2^k), and k is set once, by Liouville's bound, so
+        that no rounding boundary lies that close to x.  With s = isqrt(q^2 disc),
+        N = |p^2 - q^2 disc| >= 1 and |p - q sqrt(disc)| < |p| + s + 1 give
+        |x| > 2^e, so a boundary u/v in reach (a midpoint between floats, or
+        the overflow edge) has v <= 2^min(1075, max(0, 54 - e)), 1075 for
+        subnormals; v^2 ((r u/v - p)^2 - q^2 disc) is a nonzero integer, so
+        |u/v - x| > 1 / (v^2 r (r + 2s + 2)) >= 1 / (r 2^k).  CPython's int
+        true division is correctly rounded, so n / (r 2^k) rounds as x does.
         """
-        q2d = self.q * self.q * self.disc
-        k = max(abs(self.p).bit_length(), q2d.bit_length()) + 64
+        p, q, r = self.p, self.q, self.r
+        q2d = q * q * self.disc
+        s = math.isqrt(q2d)
+        e = abs(p * p - q2d).bit_length() - 1 - r.bit_length() - (abs(p) + s + 1).bit_length()
+        k = 2 * min(1075, max(0, 54 - e)) + (r + 2 * s + 2).bit_length()
+        root = math.isqrt(q2d << 2 * k)
         try:
-            while True:
-                root = math.isqrt(q2d << 2 * k)
-                n = (self.p << k) + (root if self.q >= 0 else -root - 1)
-                value = n / (self.r << k)
-                if self.q == 0 or value == (n + 1) / (self.r << k):
-                    return value
-                k += 64
+            return ((p << k) + (root if q >= 0 else -root - 1)) / (r << k)
         except OverflowError:
             raise DomainError("quadratic irrational outside float range") from None
 

@@ -123,8 +123,8 @@ class TestQuadraticIrrational:
 
     def test_float_is_correctly_rounded(self):
         rng = random.Random(17)
-        # each lies so close to a rounding tie that the first scale 2^k
-        # leaves two candidate floats
+        # each lies so close to a rounding tie that 64 guard bits past the
+        # operands' length leave two candidate floats
         cases = [
             qi(2, -1, 7213, 3),
             qi(2, -1, 27809, 3),
@@ -137,7 +137,35 @@ class TestQuadraticIrrational:
             p = rng.randint(-(10**15), 10**15)
             r = rng.randint(1, 10 ** rng.randint(1, 15))
             cases.append(qi(p, rng.choice([1, -1]), r, t * t - 4))
+        # h - k sqrt(d) for the continued-fraction convergents h/k of sqrt(d)
+        # is about 1 / (2k sqrt(d)): offsets that put a value next to a
+        # midpoint 2^E (1 + 2^-53) of binade E, next to 0 (results of 0.0
+        # and subnormals), and next to the overflow edge 2^1024 - 2^970
+        edge = 2**1024 - 2**970
+        for d in (2, 3, 5, 7, 13, 61):
+            a0 = isqrt(d)
+            m, den, a = 0, 1, a0
+            h0, h, k0, k = 1, a0, 0, 1
+            for _ in range(40):
+                for sigma in (1, -1):
+                    for E in (0, -15, 52, -1022, -1074):
+                        cases.append(qi((2**53 + 1) - sigma * h, sigma * k, 2 ** (53 - E), d))
+                    for j in (1000, 1074, 1075, 1100):
+                        cases.append(qi(sigma * h, -sigma * k, 2**j, d))
+                    for j in (0, 60):
+                        cases.append(qi(sigma * (edge * 2**j + h), -sigma * k, 2**j, d))
+                m = den * a - m
+                den = (d - m * m) // den
+                a = (a0 + m) // den
+                h0, h, k0, k = h, a * h + h0, k, a * k + k0
+        # both endpoints of the axis of a conjugate by a 4000-bit matrix
+        K = long_conjugator(random.Random(22), 4000)
+        cases += axis(K @ IntMatrix2(5, 2, 2, 1) @ K.inverse()).endpoints
         for z in cases:
+            if z >= edge or z <= -edge:
+                with pytest.raises(DomainError):
+                    float(z)
+                continue
             x = float(z)
 
             def distance(y):
@@ -145,7 +173,9 @@ class TestQuadraticIrrational:
                 return diff if diff >= 0 else -diff
 
             for y in (math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
-                assert distance(y) > distance(x)
+                # the largest float's upper neighbour is inf
+                if not math.isinf(y):
+                    assert distance(y) > distance(x)
 
 
 class TestAxis:
