@@ -73,56 +73,8 @@ from .modular_geometry import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaArc",
-    "CentralizerDescription",
-    "ClassificationReport",
-    "ConjugacyResult",
-    "CyclicWord",
-    "Geodesic",
-    "IDENTITY",
-    "IntMatrix2",
-    "Intertwiner",
-    "InvolutionData",
-    "MonodromyForm",
-    "OrthogonalityCertificate",
-    "PrimitiveSlope",
-    "QuadraticIrrational",
-    "ReversibilityResult",
-    "SpineDescription",
-    "StandardFormResult",
-    "UnitWitness",
-    "VirtualConjugacy",
-    "alpha_arc",
-    "apply",
-    "are_conjugate",
-    "axis",
-    "axis_order2_points",
-    "centralizer_description",
-    "classes_of_trace",
-    "classify",
-    "commutes",
-    "cyclic_word",
-    "express_power",
-    "format_matrix",
-    "format_slope",
-    "has_power_with_trace",
-    "hits_order2_cone",
-    "in_fundamental_domain",
-    "intersection_number",
-    "intertwiner",
-    "is_anosov",
-    "is_reversible",
-    "mat_pow",
-    "monodromy_form",
-    "parse_matrix",
-    "parse_slope",
-    "power_trace",
-    "render_figure",
-    "represent_unit",
-    "require_anosov",
-    "splitting_descriptors",
-    "standard_form",
-    "standard_form_parameter",
-    "virtually_conjugate",
-]
+# pydoc lists submodule names only through __all__, so derive it from the imports above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith(__name__ + ".")
+)

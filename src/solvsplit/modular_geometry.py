@@ -116,10 +116,8 @@ class QuadraticIrrational:
         return NotImplemented
 
     def _cmp(self, other) -> int:
-        diff = self - other
-        if diff is NotImplemented:
-            raise TypeError(f"cannot compare with {type(other)}")
-        return diff.sign()
+        # a foreign operand makes the subtraction itself raise TypeError
+        return (self - other).sign()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadraticIrrational)):
@@ -140,8 +138,9 @@ class QuadraticIrrational:
         x = (p + q sqrt(disc)) / r equals n / (r 2^k) if q = 0 and otherwise
         lies strictly between it and (n + 1) / (r 2^k), where n = p 2^k +
         floor(q sqrt(disc) 2^k), and k is set once, by Liouville's bound, so
-        that no rounding boundary lies that close to x.  With s = isqrt(q^2 disc),
-        N = |p^2 - q^2 disc| >= 1 and |p - q sqrt(disc)| < |p| + s + 1 give
+        that no rounding boundary lies that close to x.  With b the bit length
+        of q^2 disc, s = 2^ceil(b/2) >= sqrt(q^2 disc), N = |p^2 - q^2 disc| >= 1
+        and |p - q sqrt(disc)| < |p| + s + 1 give
         |x| > 2^e, so a boundary u/v in reach (a midpoint between floats, or
         the overflow edge) has v <= 2^min(1075, max(0, 54 - e)), 1075 for
         subnormals; v^2 ((r u/v - p)^2 - q^2 disc) is a nonzero integer, so
@@ -150,7 +149,7 @@ class QuadraticIrrational:
         """
         p, q, r = self.p, self.q, self.r
         q2d = q * q * self.disc
-        s = math.isqrt(q2d)
+        s = 1 << (q2d.bit_length() + 1) // 2
         e = abs(p * p - q2d).bit_length() - 1 - r.bit_length() - (abs(p) + s + 1).bit_length()
         k = 2 * min(1075, max(0, 54 - e)) + (r + 2 * s + 2).bit_length()
         root = math.isqrt(q2d << 2 * k)

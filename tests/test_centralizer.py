@@ -20,6 +20,7 @@ from solvsplit.errors import (
     NotAnosov,
     NotCommuting,
     NotExpressible,
+    NotSL2,
     NotStandardForm,
 )
 
@@ -58,6 +59,10 @@ class TestExpressPower:
     def test_det_minus_one_is_not_expressible(self):
         with pytest.raises(NotExpressible):
             express_power(IntMatrix2(-2, 1, -1, 1), L3)
+
+    def test_non_unimodular_rejected(self):
+        with pytest.raises(NotSL2, match="^det 2 != 1"):
+            express_power(IntMatrix2(2, 0, 0, 1), L3)
 
     def test_non_commuting_rejected(self):
         with pytest.raises(NotCommuting):

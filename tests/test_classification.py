@@ -10,6 +10,7 @@ from solvsplit import (
     classify,
     mat_pow,
     monodromy_form,
+    parse_matrix,
     represent_unit,
     splitting_descriptors,
     standard_form,
@@ -195,3 +196,9 @@ class TestSplittingDescriptors:
         )
         with pytest.raises(InconsistentWitness):
             splitting_descriptors(FIG8, fake)
+
+    def test_supplied_standard_form_gives_classify_descriptors(self):
+        for text in ("2,1;1,1", "-3,-1;1,0", "7,-1;1,0", "1,2;2,5"):
+            L = parse_matrix(text)
+            report = classify(L)
+            assert splitting_descriptors(L, standard_form(L)) == (report.spines, report.involution)

@@ -71,6 +71,12 @@ class TestClassifyCommand:
         assert run(["classify", "-m", "2,1;1"]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    def test_empty_entry_is_parse_error(self, capsys):
+        assert run(["classify", "-m", ",1;1,1"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: empty integer token\n"
+
 
 class TestOtherCommands:
     def test_conjugate(self, capsys):
@@ -267,6 +273,19 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "palette" in captured.err
         assert not out.exists()
+
+    def test_figure_io_error_is_exit_2(self, capsys, tmp_path):
+        requests = [
+            ["figure", "--m", "5", "-o", str(tmp_path / "missing" / "x.svg")],
+            ["figure", "--m", "5", "-o", str(tmp_path / "m5.svg"),
+             "--palette", str(tmp_path / "absent.json")],
+        ]
+        for argv in requests:
+            assert run(argv) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("i/o error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_geodesic_3000_bit_entries(self, capsys):
         K = long_conjugator(random.Random(61), 1500)

@@ -19,6 +19,7 @@ from solvsplit import (
     are_conjugate,
     classes_of_trace,
     classify,
+    conjugacy,
     cyclic_word,
     mat_pow,
     monodromy_form,
@@ -482,6 +483,25 @@ class TestBatchedReduction:
         assert sum(M.a - M.d + s < 0 for M, s in zip(batched, sd)) > 50
         assert max(max(abs(e) for e in M.entries()).bit_length() for M in batched) > 30_000
 
+    def test_a_quotient_past_the_window_is_one_step(self, monkeypatch):
+        # R^k M R^-k with k = 2^700 and M a 400-bit conjugate: x's R quotient
+        # is about 2^700, so q's top window bits are 0 and that batch proves
+        # no step
+        batches = []
+
+        def recorded(n, q):
+            batches.append(_batch(n, q))
+            return batches[-1]
+
+        monkeypatch.setattr(conjugacy, "_batch", recorded)
+        K = long_conjugator(random.Random(23), 400)
+        P = mat_pow(R, 2**700)
+        L = P @ K @ IntMatrix2(5, 2, 2, 1) @ K.inverse() @ P.inverse()
+        exps, U = reduce_step_by_step(L)
+        assert _reduce_to_positive_word(L) == (exps, IntMatrix2(*U))
+        assert exps == (2, 2)
+        assert None in batches
+
     def test_a_batch_holds_for_every_theta(self):
         # _batch(n, q) proves its steps for all x = (n + theta) / q, 0 < theta < 1;
         # they must be a prefix, ending on an S step, of the expansion of both
@@ -501,19 +521,26 @@ class TestBatchedReduction:
                 k, u = divmod(u, v)
             return found
 
+        def holds(n, q, e):
+            X = _batch(n, q)
+            if X is None:
+                return False
+            for num in ((n << e) + 1, ((n + 1) << e) - 1):
+                assert X in prefixes(num, q << e), (n, q)
+            return True
+
+        # small operands fit the window whole, so the ends are n / q and
+        # (n + 1) / q exactly, and an end's Euclid can stop after an S step
+        for n, q in product(range(-30, 31), repeat=2):
+            if q:
+                holds(n, q, 64)
         rng = random.Random(43)
         batches = 0
         for _ in range(600):
             bits = rng.randint(_WINDOW + 1, 4 * _WINDOW)
             n = rng.getrandbits(bits) * rng.choice((1, -1))
             q = rng.getrandbits(bits + rng.randint(-24, 24)) * rng.choice((1, -1)) or 1
-            X = _batch(n, q)
-            if X is None:
-                continue
-            batches += 1
-            e = bits + 64
-            for num in ((n << e) + 1, ((n + 1) << e) - 1):
-                assert X in prefixes(num, q << e), (n, q)
+            batches += holds(n, q, bits + 64)
         assert batches > 400
 
 

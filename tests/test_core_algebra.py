@@ -90,6 +90,9 @@ class TestMonodromyForm:
         with pytest.raises(NotSL2):
             monodromy_form(IntMatrix2(1, 0, 0, -1))
 
+    def test_str(self):
+        assert str(monodromy_form(IntMatrix2(2, 1, 1, 1))) == "1*x^2 + -1*xy + -1*y^2"
+
     def test_form_matches_intersection_number(self):
         rng = random.Random(11)
         for _ in range(10_000):
@@ -120,6 +123,8 @@ class TestAnosov:
         assert is_anosov(IntMatrix2(2, 1, 1, 1))
         assert not is_anosov(IntMatrix2(1, 1, 0, 1))
         assert not is_anosov(IntMatrix2(0, -1, 1, 0))
+        with pytest.raises(NotSL2, match="^det 2 != 1"):
+            is_anosov(IntMatrix2(2, 0, 0, 1))
 
     def test_guard(self):
         require_anosov(IntMatrix2(-3, -1, 1, 0))
@@ -134,6 +139,8 @@ class TestPowers:
         assert [power_trace(3, n) for n in range(5)] == [2, 3, 7, 18, 47]
         assert all(power_trace(2, n) == 2 for n in range(8))
         assert power_trace(4, 2) == 14
+        with pytest.raises(ValueError):
+            power_trace(3, -1)
 
     def test_power_index(self):
         assert [power_index(3, s) for s in (3, 7, 18, 47)] == [1, 2, 3, 4]
@@ -195,8 +202,9 @@ class TestTextFormats:
     def test_parse_slope(self):
         assert parse_slope("3/2") == slope(3, 2)
         assert parse_slope("-1/0") == slope(1, 0)
-        with pytest.raises(ParseError):
-            parse_slope("2/4")
+        for bad in ("2/4", "1/2/3"):
+            with pytest.raises(ParseError):
+                parse_slope(bad)
 
     @given(st.integers(), st.integers(), st.integers(), st.integers())
     def test_matrix_round_trip(self, a, b, c, d):

@@ -99,6 +99,11 @@ class TestQuadraticIrrational:
             with pytest.raises(ValueError):
                 op(qi(0, 1, 1, 5), qi(0, 1, 1, 3))
 
+    def test_inexact_operand_rejected(self):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+            with pytest.raises(TypeError):
+                op(qi(0, 1, 1, 5), 1.5)
+
     def test_rational_operand_joins_the_other_field(self):
         # a rational of any disc takes the other operand's; of two rationals,
         # the left one's field is kept
@@ -161,6 +166,16 @@ class TestQuadraticIrrational:
         # both endpoints of the axis of a conjugate by a 4000-bit matrix
         K = long_conjugator(random.Random(22), 4000)
         cases += axis(K @ IntMatrix2(5, 2, 2, 1) @ K.inverse()).endpoints
+        # Pell pairs near Liouville's worst case: z = p - sqrt(d) with
+        # d = 4^(j-1) - 1 and p = 2^(53-j) + 2^(j-1) + 1.  X = 2^(2j-1) - 1 has
+        # X^2 - d 4^j = 1, so z lies about 2^-3j above the midpoint
+        # (p 2^j - X) / 2^j, whose upper neighbour has an odd mantissa
+        for j in range(5, 53):
+            cases.append(qi(2 ** (53 - j) + 2 ** (j - 1) + 1, -1, 1, 4 ** (j - 1) - 1))
+        # just above 2^-1075, the midpoint between 0.0 and the least subnormal
+        tiny = qi(2**1074, -1, 1, 4**1074 - 1)
+        assert float(tiny) == 5e-324
+        cases.append(tiny)
         for z in cases:
             if z >= edge or z <= -edge:
                 with pytest.raises(DomainError):
@@ -350,6 +365,8 @@ class TestOrder2ConePoint:
         assert axis_order2_points(3) == (1, 2)
         assert axis_order2_points(-3) == (-2, -1)
         assert axis_order2_points(4) == ()
+        with pytest.raises(TraceTooSmall):
+            axis_order2_points(2)
 
     def test_solvable_iff_trace_three_up_to_1000(self):
         # the |m| <= 10^4 sweep runs in the acceptance suite
