@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -388,6 +392,16 @@ class TestConjugateGuard:
 
 
 class TestCliContract:
+    def test_module_entry_point_exits_with_the_code(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        for matrix, code in (("2,1;1,1", EXIT_OK), (",1;1,1", EXIT_PARSE)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "solvsplit.cli", "classify", "-m", matrix],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert proc.returncode == code, proc.stderr
+            assert bool(proc.stdout) == (code == EXIT_OK)
+
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()

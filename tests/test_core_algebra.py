@@ -123,6 +123,8 @@ class TestAnosov:
         assert is_anosov(IntMatrix2(2, 1, 1, 1))
         assert not is_anosov(IntMatrix2(1, 1, 0, 1))
         assert not is_anosov(IntMatrix2(0, -1, 1, 0))
+
+    def test_rejects_non_sl2(self):
         with pytest.raises(NotSL2, match="^det 2 != 1"):
             is_anosov(IntMatrix2(2, 0, 0, 1))
 
@@ -139,6 +141,8 @@ class TestPowers:
         assert [power_trace(3, n) for n in range(5)] == [2, 3, 7, 18, 47]
         assert all(power_trace(2, n) == 2 for n in range(8))
         assert power_trace(4, 2) == 14
+
+    def test_power_trace_rejects_negative_n(self):
         with pytest.raises(ValueError):
             power_trace(3, -1)
 
@@ -202,9 +206,12 @@ class TestTextFormats:
     def test_parse_slope(self):
         assert parse_slope("3/2") == slope(3, 2)
         assert parse_slope("-1/0") == slope(1, 0)
-        for bad in ("2/4", "1/2/3"):
-            with pytest.raises(ParseError):
-                parse_slope(bad)
+        with pytest.raises(ParseError):
+            parse_slope("2/4")
+
+    def test_parse_slope_needs_one_slash(self):
+        with pytest.raises(ParseError, match="expected 'p/q'"):
+            parse_slope("1/2/3")
 
     @given(st.integers(), st.integers(), st.integers(), st.integers())
     def test_matrix_round_trip(self, a, b, c, d):

@@ -365,6 +365,8 @@ class TestOrder2ConePoint:
         assert axis_order2_points(3) == (1, 2)
         assert axis_order2_points(-3) == (-2, -1)
         assert axis_order2_points(4) == ()
+
+    def test_rejects_small_m(self):
         with pytest.raises(TraceTooSmall):
             axis_order2_points(2)
 
