@@ -2,8 +2,10 @@
 
 Every request takes one path, through `run`.  Each subcommand is declared
 once, in `_SUBCOMMANDS`: its help, its handler and its options, with the
-matrix options marked.  `run` builds the parser from that table, parses the
-marked matrix options, and calls the handler, which returns the input echo,
+matrix options marked.  `run` builds the parser from that table, giving
+options only to the subcommand that the first token names (every subcommand
+gets them when it names none), parses the marked matrix options, and calls
+the handler, which returns the input echo,
 the result, the verification list and the text lines; `run` alone assembles
 the document and hands it to `_emit`.
 
@@ -494,7 +496,18 @@ _MODES = {"json": "emit a JSON report document", "text": "emit a human-readable 
 _MATRIX_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-.*[,;]")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; every subcommand's options, or only those of `command`.
+
+    Every subcommand is added with its name and help either way, so the
+    top-level parser is the same.  It has one positional, the subcommand
+    (which takes the rest of the command line), and `-h`, which takes no
+    value; so when the first token names a subcommand, it selects that
+    subcommand's parser to read the remaining tokens, and no other
+    subcommand's parser reads any.  Help, usage, an invalid or missing
+    command and unrecognized arguments are all reported by the top-level
+    parser, as with the full tree.
+    """
     parser = argparse.ArgumentParser(
         prog="solvsplit",
         description=(
@@ -505,6 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, matrices, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         if matrices:
             p._negative_number_matcher = _MATRIX_VALUE
         for dest, flags, matrix_help in matrices:
@@ -521,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,8 +9,8 @@ quadratic irrational (its correctly rounded `float`).
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -22,7 +22,6 @@ Exact = Union[int, Fraction, "QuadraticIrrational"]
 
 
 @_record
-@functools.total_ordering
 class QuadraticIrrational:
     """(p + q*sqrt(disc)) / r with integer p, q, r and nonsquare disc > 0.
 
@@ -30,7 +29,9 @@ class QuadraticIrrational:
     structural equality (rational values compare across discriminants).
     The sign is p's where p^2 > q^2 disc and q's otherwise.  Comparisons and
     arithmetic are exact: a rational operand of any disc joins the other
-    operand's field, and two irrational operands must share disc.
+    operand's field, and two irrational operands must share disc.  A float
+    compares as with a Fraction, at its exact value, but takes part in no
+    arithmetic.
     """
 
     p: int
@@ -115,17 +116,31 @@ class QuadraticIrrational:
             return self * (1 / Fraction(other))
         return NotImplemented
 
-    def _cmp(self, other) -> int:
-        # a foreign operand makes the subtraction itself raise TypeError
-        return (self - other).sign()
+    def _compare(self, other, op):
+        # as Fraction compares: a finite float at its exact value, and a
+        # non-finite one as 0.0 compares with it
+        if isinstance(other, float):
+            if not math.isfinite(other):
+                return op(0.0, other)
+            other = Fraction(other)
+        elif not isinstance(other, (int, Fraction, QuadraticIrrational)):
+            return NotImplemented
+        return op((self - other).sign(), 0)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadraticIrrational)):
-            return self._cmp(other) == 0
-        return NotImplemented
+        return self._compare(other, operator.eq)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
 
     def __hash__(self):
         if self.q == 0:

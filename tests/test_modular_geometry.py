@@ -100,9 +100,35 @@ class TestQuadraticIrrational:
                 op(qi(0, 1, 1, 5), qi(0, 1, 1, 3))
 
     def test_inexact_operand_rejected(self):
-        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):
                 op(qi(0, 1, 1, 5), 1.5)
+        # a comparison takes the float at its exact value instead
+        assert qi(0, 1, 1, 5) > 1.5 and not qi(0, 1, 1, 5) < 1.5
+
+    def test_float_operand_compares_at_its_exact_value(self):
+        half, tenth = qi(1, 0, 2, 5), qi(1, 0, 10, 5)
+        assert half == 0.5 and 0.5 == half and not half != 0.5
+        assert hash(half) == hash(0.5)
+        assert half < 1.5 and half <= 0.5 and half >= 0.5 and half > 0.25 and 1.5 > half
+        # 0.1 is 3602879701896397 / 2^55, a little above 1/10
+        assert tenth != 0.1 and tenth < 0.1 and 0.1 > tenth
+        assert half < math.inf and half > -math.inf and half != math.inf and half != math.nan
+        ops = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+        for z, f in ((half, Fraction(1, 2)), (qi(0, -1, 1, 5), Fraction(-9, 4))):
+            for x in (math.inf, -math.inf, math.nan):  # as 0.0 compares with x
+                for op in ops:
+                    assert op(z, x) == op(f, x) == op(0.0, x), (z, op, x)
+                    assert op(x, z) == op(x, f) == op(x, 0.0), (z, op, x)
+        # (1 + sqrt 5) / 2 = 1.61803398874989484820..., and its float is
+        # 1.6180339887498949025..., so it lies between that and the float below
+        golden = qi(1, 1, 2, 5)
+        f = float(golden)
+        below = math.nextafter(f, -math.inf)
+        assert below < golden < f and f > golden > below
+        assert golden != f and golden != below and not golden == f
+        assert golden <= f and not golden >= f and golden >= below and not golden <= below
+        assert -golden > -f and -golden < -below
 
     def test_rational_operand_joins_the_other_field(self):
         # a rational of any disc takes the other operand's; of two rationals,
