@@ -5,9 +5,9 @@ once, in `_SUBCOMMANDS`: its help, its handler and its options, with the
 matrix options marked.  `run` builds the parser from that table, giving
 options only to the subcommand that the first token names (every subcommand
 gets them when it names none), parses the marked matrix options, and calls
-the handler, which returns the input echo,
-the result, the verification list and the text lines; `run` alone assembles
-the document and hands it to `_emit`.
+the handler, which returns the input echo, the result, the verification list
+and the text lines; `run` alone assembles the document and hands it to
+`_emit`.
 
 argparse reads the whole command line.  In a subcommand with matrix options,
 a token that starts with '-' and holds ',' or ';' is a value unless it
