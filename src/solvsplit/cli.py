@@ -2,12 +2,12 @@
 
 Every request takes one path, through `run`.  Each subcommand is declared
 once, in `_SUBCOMMANDS`: its help, its handler and its options, with the
-matrix options marked.  `run` builds the parser from that table, giving
-options only to the subcommand that the first token names (every subcommand
-gets them when it names none), parses the marked matrix options, and calls
-the handler, which returns the input echo, the result, the verification list
-and the text lines; `run` alone assembles the document and hands it to
-`_emit`.
+matrix options marked.  `run` builds the parser from that table, giving `-h`
+and options only to the subcommand that the first token names (every
+subcommand gets them when it names none), parses the marked matrix options,
+and calls the handler, which returns the input echo, the result, the
+verification list and the text lines; `run` alone assembles the document and
+hands it to `_emit`, which prints text unless --json was given.
 
 argparse reads the whole command line.  In a subcommand with matrix options,
 a token that starts with '-' and holds ',' or ';' is a value unless it
@@ -78,7 +78,7 @@ def _qi_doc(z: modular_geometry.QuadraticIrrational) -> dict:
     }
 
 
-def _emit(doc: dict, verification: list[tuple[str, bool]], mode: str, text_lines) -> int:
+def _emit(doc: dict, verification: list[tuple[str, bool]], mode: str | None, text_lines) -> int:
     doc["verification"] = [
         {"identity": name, "holds": holds} for name, holds in verification
     ]
@@ -87,7 +87,8 @@ def _emit(doc: dict, verification: list[tuple[str, bool]], mode: str, text_lines
         print(f"verification failed: {'; '.join(failed)}", file=sys.stderr)
         return EXIT_VERIFY
     require_printable(*_ints(doc))
-    # render in full first, so a failure leaves stdout empty
+    # render in full first, so a failure leaves stdout empty; text is the
+    # default: `mode` is None when neither --json nor --text was given
     if mode == "json":
         out = json.dumps(doc, indent=2)
     else:
@@ -497,16 +498,22 @@ _MATRIX_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-.*[,;]")
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; every subcommand's options, or only those of `command`.
+    """The parser; every subcommand's `-h` and options, or only `command`'s.
 
     Every subcommand is added with its name and help either way, so the
     top-level parser is the same.  It has one positional, the subcommand
     (which takes the rest of the command line), and `-h`, which takes no
     value; so when the first token names a subcommand, it selects that
-    subcommand's parser to read the remaining tokens, and no other
-    subcommand's parser reads any.  Help, usage, an invalid or missing
-    command and unrecognized arguments are all reported by the top-level
-    parser, as with the full tree.
+    subcommand's parser, which keeps its `-h`, to read the remaining tokens,
+    and no other subcommand's parser reads any: each of those only gives a
+    name and a help line to the top-level list of choices, and neither
+    depends on its `-h`.  With `command` None (help, an unknown command, no
+    argv) every subcommand keeps its `-h`.  Help, usage, an invalid or
+    missing command and unrecognized arguments are all reported by the
+    top-level parser, as with the full tree.  The subcommands' prog prefix
+    is the top-level prog, as argparse would format it: that parser has no
+    usage and no positional before the subcommands, so every subcommand's
+    prog is still "solvsplit <name>".
     """
     parser = argparse.ArgumentParser(
         prog="solvsplit",
@@ -515,9 +522,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "Anosov monodromy"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (help_text, _, matrices, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, add_help=command in (None, name))
         if command not in (None, name):
             continue
         if matrices:
@@ -531,7 +538,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             group.add_argument(
                 f"--{mode}", dest="mode", action="store_const", const=mode, help=mode_help
             )
-        p.set_defaults(mode="text")
     return parser
 
 

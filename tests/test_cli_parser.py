@@ -6,8 +6,9 @@ give the same exit code, stdout, stderr and written files as with the full
 tree, `_build_parser(None)`: the argv of every golden document, the help
 pins, and odd command lines around the first positional.  The work ledger
 pins the saving: `add_argument` runs once for the top-level `-h`, once for
-each subcommand's `-h`, and once for each option and output mode of the
-named subcommand, or of all of them when none is named.
+the named subcommand's `-h` and once for each of its options and output
+modes; when none is named, every subcommand gets its `-h`, options and
+modes.
 """
 
 from __future__ import annotations
@@ -103,6 +104,15 @@ class TestSameOutcomeAsTheFullTree:
         assert outcome(["-x", "classify", "-m", "5,2;2,1"], tmp_path)[0] == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+def test_text_is_the_default_mode(command, monkeypatch, tmp_path):
+    # no golden argv omits the mode flag; without one, a request reads as --text
+    monkeypatch.chdir(tmp_path)
+    plain = outcome([command, *VALID[command]], tmp_path)
+    assert plain[0] == cli.EXIT_OK and plain[1]
+    assert plain == outcome([command, *VALID[command], "--text"], tmp_path)
+
+
 class TestWorkLedger:
     """`add_argument` calls per request, from the `_SUBCOMMANDS` table."""
 
@@ -128,11 +138,11 @@ class TestWorkLedger:
 
     @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
     def test_a_named_subcommand_gets_only_its_own_options(self, command, monkeypatch, tmp_path):
-        expected = 1 + len(cli._SUBCOMMANDS) + self.own(command)
+        expected = 2 + self.own(command)
         for argv in ([command, *VALID[command], "--json"], [command, "--help"]):
             assert self.added(monkeypatch, tmp_path, argv) == expected
         if command == "classify":
-            assert expected == 11
+            assert expected == 5
 
     @pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["-x", "classify"]], ids=repr)
     def test_no_named_subcommand_builds_the_full_tree(self, argv, monkeypatch, tmp_path):
