@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .conjugacy import reversal, symmetries
-from .core_algebra import IDENTITY, IntMatrix2, _record, mat_pow, power_index
+from .core_algebra import IntMatrix2, _record, mat_pow, power_index
 from .errors import NotCommuting, NotExpressible, NotSL2, NotStandardForm
 
 # the determinant -1 commutants `centralizer_description` derives at m = +-3
@@ -63,37 +63,30 @@ def commutes(K: IntMatrix2, L: IntMatrix2) -> bool:
 def express_power(K: IntMatrix2, L: IntMatrix2) -> tuple[int, int]:
     """Write a commuting SL(2,Z) matrix as sign * L^n, exactly.
 
-    |n| is pinned by matching |trace(K)| against the strictly increasing
-    trace-of-powers sequence; the four candidates +-L^{+-|n|} are then
-    separated by exact multiplication.
+    |n| is found by matching |trace(K)| against the strictly increasing
+    trace-of-powers sequence of |m|, and is 0 when none matches (as for
+    K = +-I); one exact comparison of K with +-L^n and +-L^-n then gives the
+    sign and n, and a K that matches none of them raises NotExpressible.
     """
-    m = standard_form_parameter(L)
+    standard_form_parameter(L)
     if K.det() == -1:
         raise NotExpressible("det(K) = -1; consult the gl_extra coset instead")
     if not K.is_sl2():
         raise NotSL2(f"det {K.det()} != 1")
     if not commutes(K, L):
         raise NotCommuting(f"{K} does not commute with {L}")
-    return _signed_power(K, L, m)
+    return _signed_power(K, L)
 
 
-def _signed_power(K: IntMatrix2, L: IntMatrix2, m: int) -> tuple[int, int]:
+def _signed_power(K: IntMatrix2, L: IntMatrix2) -> tuple[int, int]:
     # `express_power`'s body, for a K in SL(2,Z) that commutes with L = [[m, -1], [1, 0]]
-    if K == IDENTITY:
-        return (1, 0)
-    if K == -IDENTITY:
-        return (-1, 0)
-    target = abs(K.trace())
-    n = power_index(abs(m), target)
-    if n is None:
-        raise NotExpressible(f"|trace| = {target} is not a trace of a power")
+    # no power of L has |trace| 2, so n = 0 tries K = +-I and rejects every other K
+    n = power_index(abs(L.a), abs(K.trace())) or 0
     for exponent in (n, -n):
         P = mat_pow(L, exponent)
-        if K == P:
-            return (1, exponent)
-        if K == -P:
-            return (-1, exponent)
-    raise NotExpressible(f"{K} is not +-L^{n} despite matching trace")
+        if K in (P, -P):
+            return (1 if K == P else -1, exponent)
+    raise NotExpressible(f"{K} is not +-L^n for any n")
 
 
 def is_reversible(L: IntMatrix2) -> ReversibilityResult:
@@ -108,13 +101,13 @@ def is_reversible(L: IntMatrix2) -> ReversibilityResult:
 
 def centralizer_description(L: IntMatrix2) -> CentralizerDescription:
     """Cosets of the GL(2,Z) centralizer of a standard-form monodromy."""
-    m = standard_form_parameter(L)
+    standard_form_parameter(L)
     reversal, gl_extra = symmetries(L)
     return CentralizerDescription(
         base=L,
         sl_part="{+-L^n : n in Z}",
         gl_extra=gl_extra,
-        gl_extra_square=None if gl_extra is None else _signed_power(gl_extra @ gl_extra, L, m),
+        gl_extra_square=None if gl_extra is None else _signed_power(gl_extra @ gl_extra, L),
         reversible=reversal is not None,
         reversal_witness=reversal,
     )

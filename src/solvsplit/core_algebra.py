@@ -17,8 +17,9 @@ from .errors import DomainError, NotAnosov, NotSL2, NotUnimodular, ParseError
 def _record(cls):
     """Make cls a frozen record of its annotated fields, in their order.
 
-    The record behaves as a frozen dataclass without defaults would, but
-    needs no import or code generation: it is built by position or keyword
+    The record behaves as a frozen dataclass without defaults would: its
+    `__init__`, compiled from the field names as `collections.namedtuple`
+    compiles its `__new__`, takes exactly the fields by position or keyword
     (a wrong argument is a TypeError), `__post_init__` then runs and may
     canonicalize through `object.__setattr__`, `==` holds only within the
     class, the hash is that of the field tuple, the repr is
@@ -27,18 +28,13 @@ def _record(cls):
     kept.  Each instance `__dict__` holds exactly the fields, in order.
     """
     names = tuple(cls.__annotations__)
-    name_set = frozenset(names)
-    post_init = getattr(cls, "__post_init__", None)
-
-    def __init__(self, *args, **kwargs):
-        fields = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or fields.keys() != name_set:
-            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)} once each")
-        if kwargs:  # keep the fields in declaration order
-            fields = {name: fields[name] for name in names}
-        object.__setattr__(self, "__dict__", fields)
-        if post_init is not None:
-            post_init(self)
+    fields = ", ".join(f"{name!r}: {name}" for name in names)
+    post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    namespace = {"__name__": cls.__module__, "_setattr": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         f"    _setattr(self, '__dict__', {{{fields}}}){post_init}", namespace)
+    __init__ = namespace["__init__"]
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -73,10 +69,6 @@ class IntMatrix2:
     b: int
     c: int
     d: int
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        # the hot constructor: one call, no argument matching
-        object.__setattr__(self, "__dict__", {"a": a, "b": b, "c": c, "d": d})
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c

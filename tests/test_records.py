@@ -2,6 +2,7 @@
 hashing, repr, immutability, pickling and pattern matching."""
 
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -129,6 +130,11 @@ class TestRecord:
             cls(**fields, no_such_field=0)
         with pytest.raises(TypeError):
             cls(*args, **{first: args[0]})
+
+    def test_constructor_takes_exactly_the_fields(self, cls):
+        assert tuple(inspect.signature(cls).parameters) == RECORDS[cls][1]
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing"):
+            cls(*list(values(cls).values())[:-1])
 
     def test_repr_names_every_field(self, cls):
         fields = values(cls)
